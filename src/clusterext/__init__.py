@@ -19,13 +19,14 @@ A command-line frontend lives in :mod:`clusterext.cli`.
 """
 
 from .asymptotics import (AsymptoticConstant, constant_concavity, constant_gap,
-                          crossover_search, empirical_constant, growth_constant,
-                          log_beta, log_gamma, log_integer, trigamma)
+                          crossover_search, crossover_sweeps, empirical_constant,
+                          growth_constant, log_beta, log_gamma, log_integer,
+                          trigamma)
 from .errors import (DegenerateParameterError, DomainError,
                      InternalConsistencyError, InvalidInputError,
                      ResourceLimitError)
-from .exact_counts import (RationalPoly, exact_count, exact_count_sweep,
-                           iter_exact_counts, iterated_integral, step_integral)
+from .exact_counts import (exact_count, exact_count_sweep, iter_exact_counts,
+                           iterated_integral)
 from .patterns import (OccurrenceHistogram, complement, cwilf_evidence,
                        evidence_classes, is_nonoverlapping, is_standard,
                        nonoverlapping_fraction, occurrence_histogram,

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional, Tuple
 
 from .errors import DomainError, InternalConsistencyError, InvalidInputError
 from .exact_counts import exact_count, exact_count_sweep
@@ -186,24 +186,31 @@ def empirical_constant(m: int, a: int, b: int, n: int) -> float:
     return (log_integer(count) - params.leading * n * math.log(n)) / n
 
 
-def crossover_search(m: int, a: int, b: int, a2: int, b2: int,
-                     n_max: int) -> Optional[int]:
-    """Smallest n0 with e(P_n^{m,a,b}) < e(P_n^{m,a2,b2}) for all n0 <= n <= n_max.
+def crossover_sweeps(m: int, a: int, b: int, a2: int, b2: int,
+                     n_max: int) -> Tuple[List[int], List[int], Optional[int]]:
+    """The two count sweeps for n = 1..n_max and the crossover n0 they give.
 
-    Returns None when even n = n_max fails.  Hypotheses as in constant_gap.
+    n0 is the smallest n with e(P_n^{m,a,b}) < e(P_n^{m,a2,b2}) for all
+    n <= n_max from there on, or None when even n = n_max fails.  Hypotheses
+    as in constant_gap.
     """
     _check_gap_hypotheses(m, a, b, a2, b2)
     if n_max < 1:
         raise InvalidInputError("n_max must be >= 1")
     first = exact_count_sweep(m, a, b, n_max, "p")
     second = exact_count_sweep(m, a2, b2, n_max, "p")
-    ordered = [x < y for x, y in zip(first, second)]
-    if not ordered[-1]:
-        return None
-    n0 = n_max
+    n0 = None
     for n in range(n_max, 0, -1):
-        if ordered[n - 1]:
-            n0 = n
-        else:
+        if not first[n - 1] < second[n - 1]:
             break
-    return n0
+        n0 = n
+    return first, second, n0
+
+
+def crossover_search(m: int, a: int, b: int, a2: int, b2: int,
+                     n_max: int) -> Optional[int]:
+    """Smallest n0 with e(P_n^{m,a,b}) < e(P_n^{m,a2,b2}) for all n0 <= n <= n_max.
+
+    Returns None when even n = n_max fails.  Hypotheses as in constant_gap.
+    """
+    return crossover_sweeps(m, a, b, a2, b2, n_max)[2]

@@ -138,12 +138,8 @@ def _cmd_fit(args, out) -> int:
 
 
 def _cmd_compare(args, out) -> int:
-    n0 = asymptotics.crossover_search(args.m, args.a, args.b,
-                                      args.a2, args.b2, args.n_max)
-    first = exact_counts.exact_count_sweep(args.m, args.a, args.b,
-                                           args.n_max, "p")
-    second = exact_counts.exact_count_sweep(args.m, args.a2, args.b2,
-                                            args.n_max, "p")
+    first, second, n0 = asymptotics.crossover_sweeps(
+        args.m, args.a, args.b, args.a2, args.b2, args.n_max)
     rows = [(n, first[n - 1], second[n - 1], first[n - 1] < second[n - 1])
             for n in range(1, args.n_max + 1)]
     if args.format == "json":
@@ -385,6 +381,9 @@ def run(argv: Optional[Sequence[str]] = None, out=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
+    # counts are bounded by MAX_INTEGRAL_DEGREE, not by the str() digit limit
+    max_digits = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         return args.func(args, out)
     except (InvalidInputError, DomainError, DegenerateParameterError) as exc:
@@ -396,6 +395,8 @@ def run(argv: Optional[Sequence[str]] = None, out=None) -> int:
     except InternalConsistencyError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return CONSISTENCY_ERROR
+    finally:
+        sys.set_int_max_str_digits(max_digits)
 
 
 def main() -> None:

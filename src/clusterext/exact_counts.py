@@ -10,19 +10,21 @@ stay exact rationals, so the final factorial-scaled value is an exact
 integer for any n.
 
 Everything here is exact; no floating point is used anywhere.  The working
-representation stores integer coefficients c_k of x^k/k! (each kernel pass
-then becomes a pure index shift and weight multiplication stays integral),
-which is the common-denominator layout with the per-degree factorials folded
-into the basis.  The plain rational-polynomial form is exposed as
-:class:`RationalPoly` and :func:`step_integral` and is cross-checked against
-the fast path in the tests.
+representation stores integer coefficients c_k of x^k/k!, the
+common-denominator layout with the per-degree factorials folded into the
+basis.  Each kernel pass is then a pure index shift, multiplying by x^s
+scales c_k by (k+s)!/k!, and multiplying by (1-x) is the one-term update
+c'_k = c_k - k c_{k-1}, so every coefficient stays an integer.  One
+generator runs the integration for every public entry point, and a count is
+finalised only for the n a caller keeps.  The slow rational-polynomial route
+lives in the tests as an oracle for this one.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 from .errors import InternalConsistencyError, InvalidInputError, ResourceLimitError
 from .posets import ClusterParams
@@ -31,148 +33,98 @@ from .posets import ClusterParams
 MAX_INTEGRAL_DEGREE = 6000
 
 
-class RationalPoly:
-    """Dense univariate polynomial with exact rational coefficients."""
+def _times_x_power(lo: int, c: List[int], s: int) -> int:
+    """Multiply by x^s in place and return the new offset.
 
-    __slots__ = ("coefficients",)
-
-    def __init__(self, coefficients: Iterable[Fraction | int] = ()):
-        coeffs = [Fraction(c) for c in coefficients]
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        self.coefficients: Tuple[Fraction, ...] = tuple(coeffs)
-
-    @classmethod
-    def constant(cls, value: Fraction | int) -> "RationalPoly":
-        return cls((value,))
-
-    @property
-    def degree(self) -> int:
-        """Degree, with -1 for the zero polynomial."""
-        return len(self.coefficients) - 1
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, RationalPoly) and self.coefficients == other.coefficients
-
-    def __hash__(self) -> int:
-        return hash(self.coefficients)
-
-    def __add__(self, other: "RationalPoly") -> "RationalPoly":
-        a, b = self.coefficients, other.coefficients
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return RationalPoly(out)
-
-    def __mul__(self, other: "RationalPoly | Fraction | int") -> "RationalPoly":
-        if isinstance(other, (int, Fraction)):
-            return RationalPoly(c * other for c in self.coefficients)
-        out = [Fraction(0)] * (len(self.coefficients) + len(other.coefficients))
-        for i, ci in enumerate(self.coefficients):
-            if ci:
-                for j, cj in enumerate(other.coefficients):
-                    if cj:
-                        out[i + j] += ci * cj
-        return RationalPoly(out)
-
-    __rmul__ = __mul__
-
-    def evaluate(self, x: Fraction | int) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coefficients):
-            acc = acc * x + c
-        return acc
-
-    def integral_unit(self) -> Fraction:
-        """Exact definite integral over [0, 1]."""
-        return sum((c / (k + 1) for k, c in enumerate(self.coefficients)),
-                   Fraction(0))
-
-    def __repr__(self) -> str:
-        return f"RationalPoly({list(self.coefficients)!r})"
-
-
-def step_integral(g: RationalPoly, kernel_exponent: int) -> RationalPoly:
-    """H(x) = integral of (x - t)^e * g(t) dt from 0 to x, exactly.
-
-    Monomial rule: t^k maps to k! e! / (k+e+1)! * x^(k+e+1), so the degree
-    rises by e + 1.
+    (x^k/k!) * x^s = (k+s)!/k! * x^(k+s)/(k+s)!.
     """
-    e = kernel_exponent
-    if e < 0:
-        raise InvalidInputError("kernel exponent must be >= 0")
-    fe = math.factorial(e)
-    out = [Fraction(0)] * (len(g.coefficients) + e + 1)
-    for k, c in enumerate(g.coefficients):
-        if c:
-            out[k + e + 1] = c * Fraction(math.factorial(k) * fe,
-                                          math.factorial(k + e + 1))
-    return RationalPoly(out)
+    if s:
+        for j in range(len(c)):
+            c[j] *= math.perm(lo + j + s, s)
+    return lo + s
 
 
-# ---------------------------------------------------------------------------
-# fast integer pipeline (coefficients of x^k/k!)
-
-def _weight_terms(x_exp: int, one_minus_exp: int) -> List[Tuple[int, int]]:
-    """x^x_exp (1-x)^one_minus_exp expanded as [(power, integer coefficient)]."""
-    return [(x_exp + r, (-1) ** r * math.comb(one_minus_exp, r))
-            for r in range(one_minus_exp + 1)]
-
-
-def _initial_state(terms: Sequence[Tuple[int, int]]) -> List[int]:
-    top = max(s for s, _ in terms)
-    c = [0] * (top + 1)
-    for s, w in terms:
-        c[s] += w * math.factorial(s)
-    return c
+def _times_one_minus_x(lo: int, c: List[int], times: int) -> None:
+    """Multiply by (1-x)^times in place, one factor per pass: c'_k = c_k - k c_{k-1}."""
+    for _ in range(times):
+        c.append(0)
+        for j in range(len(c) - 1, 0, -1):
+            c[j] -= (lo + j) * c[j - 1]
 
 
-def _apply_weight(c: Sequence[int], terms: Sequence[Tuple[int, int]]) -> List[int]:
-    """Multiply an x^k/k!-basis polynomial by a plain integer polynomial."""
-    top = max(s for s, _ in terms)
-    out = [0] * (len(c) + top)
-    for s, w in terms:
-        if s == 0:
-            for k, ck in enumerate(c):
-                if ck:
-                    out[k] += w * ck
-        else:
-            for k, ck in enumerate(c):
-                if ck:
-                    # (x^k/k!) * x^s = (k+s)!/k! * x^(k+s)/(k+s)!
-                    out[k + s] += w * math.perm(k + s, s) * ck
-    return out
+def _tail_sum(lo: int, c: Sequence[int]) -> int:
+    """(K+1)! times the integral over [0, 1], K = lo + len(c) - 1.
+
+    Horner form of the sum of c_k (K+1)!/(k+1)!: only big-by-small products.
+    """
+    acc = 0
+    for k, ck in enumerate(c, lo + 1):
+        acc = acc * k + ck
+    return acc
 
 
-def _scaled_tail_sum(coeffs: Sequence[int]) -> int:
-    """Sum of c_k * (K+1)!/(k+1)! for K = deg; equals (K+1)! * integral over [0,1]."""
-    total = 0
-    running = 1
-    for k in range(len(coeffs) - 1, -1, -1):
-        if coeffs[k]:
-            total += coeffs[k] * running
-        running *= k + 1
-    return total
+def _degree(m: int, a: int, b: int, n: int, v: str) -> int:
+    """Degree of the n-th integrand; the padded variant adds one chain weight."""
+    return (m - 1) * n + ((a - 1) + (m - b) if v == "q" else 0)
 
 
-def _finalize_count(coeffs: Sequence[int], divisor: int) -> int:
-    total = _scaled_tail_sum(coeffs)
-    count, rem = divmod(total, divisor)
+def _check_budget(degree: int) -> None:
+    if degree > MAX_INTEGRAL_DEGREE:
+        raise ResourceLimitError(
+            f"iterated integral degree {degree} exceeds the cap "
+            f"{MAX_INTEGRAL_DEGREE}")
+
+
+def _integrands(m: int, a: int, b: int, v: str) -> Iterator[Tuple[int, List[int]]]:
+    """Yield (lo, c) after n = 1, 2, ... kernel passes, end weight applied.
+
+    c[j] is the coefficient of x^(lo+j)/(lo+j)!; the low coefficients that
+    the kernel shifts and x^(a-1) weights leave at zero are not stored.  The
+    tail sum of the n-th polynomial is the factorial-scaled integral for that
+    n.  c is updated in place when the generator resumes, and the plain
+    variant multiplies by x^(a-1) only then, so stopping at n wastes no work.
+    """
+    c = [1]
+    if v == "q":
+        _times_one_minus_x(0, c, m - b)
+    lo = _times_x_power(0, c, a - 1)
+    n = 0
+    while True:
+        n += 1
+        expected = _degree(m, a, b, n, v)
+        _check_budget(expected)
+        lo += b - a
+        _times_one_minus_x(lo, c, m - b)
+        if v == "q":
+            lo = _times_x_power(lo, c, a - 1)
+        if c[-1] == 0 or lo + len(c) - 1 != expected:
+            raise InternalConsistencyError(
+                f"working polynomial does not have degree {expected}")
+        yield lo, c
+        if v == "p":
+            lo = _times_x_power(lo, c, a - 1)
+
+
+def _nth_integrand(m: int, a: int, b: int, n: int, v: str) -> Tuple[int, List[int]]:
+    """The n-th (lo, c), with the degree budget checked before any work."""
+    _check_budget(_degree(m, a, b, n, v))
+    integrands = _integrands(m, a, b, v)
+    for _ in range(n - 1):
+        next(integrands)
+    return next(integrands)
+
+
+def _finalize_count(lo: int, c: Sequence[int], divisor: int) -> int:
+    count, rem = divmod(_tail_sum(lo, c), divisor)
     if rem != 0 or count < 0:
         raise InternalConsistencyError(
             "factorial-scaled integral is not a nonnegative integer")
     return count
 
 
-def _check_degree(coeffs: Sequence[int], expected: int) -> None:
-    degree = len(coeffs) - 1
-    while degree >= 0 and coeffs[degree] == 0:
-        degree -= 1
-    if degree != expected:
-        raise InternalConsistencyError(
-            f"working polynomial has degree {degree}, expected {expected}")
+def _weight_unit(m: int, a: int, b: int) -> int:
+    """Normalizer (a-1)!(m-b)! of one chain weight."""
+    return math.factorial(a - 1) * math.factorial(m - b)
 
 
 def _normalize_variant(variant: str) -> str:
@@ -190,43 +142,11 @@ def iter_exact_counts(m: int, a: int, b: int, variant: str = "p") -> Iterator[in
     """
     ClusterParams(m, a, b, 1)  # validate (m, a, b)
     v = _normalize_variant(variant)
-    fa, fb = math.factorial(a - 1), math.factorial(m - b)
-    full = _weight_terms(a - 1, m - b)
-    shift = b - a  # kernel exponent b-a-1, degree step e+1
-
-    if v == "q":
-        c = _initial_state(full)
-        k = 0
-        while True:
-            k += 1
-            c = _apply_weight([0] * shift + c, full)
-            expected = k * (m - 1) + (a - 1) + (m - b)
-            if expected > MAX_INTEGRAL_DEGREE:
-                raise ResourceLimitError("iterated integral degree cap exceeded")
-            _check_degree(c, expected)
-            yield _finalize_count(c, (fa * fb) ** (k + 1))
-    else:
-        end = _weight_terms(0, m - b)
-        c = _initial_state(_weight_terms(a - 1, 0))
-        k = 0
-        while True:
-            k += 1
-            shifted = [0] * shift + c
-            final = _apply_weight(shifted, end)
-            expected = k * (m - 1)
-            if expected > MAX_INTEGRAL_DEGREE:
-                raise ResourceLimitError("iterated integral degree cap exceeded")
-            _check_degree(final, expected)
-            yield _finalize_count(final, (fa * fb) ** k)
-            c = _apply_weight(shifted, full)
-
-
-def _check_degree_budget(m: int, a: int, b: int, n: int, variant: str) -> None:
-    expected = (m - 1) * n + ((a - 1) + (m - b) if variant == "q" else 0)
-    if expected > MAX_INTEGRAL_DEGREE:
-        raise ResourceLimitError(
-            f"iterated integral degree {expected} exceeds the cap "
-            f"{MAX_INTEGRAL_DEGREE}")
+    unit = _weight_unit(m, a, b)
+    divisor = unit if v == "q" else 1
+    for lo, c in _integrands(m, a, b, v):
+        divisor *= unit
+        yield _finalize_count(lo, c, divisor)
 
 
 def exact_count(params: ClusterParams, variant: str = "p") -> int:
@@ -236,12 +156,9 @@ def exact_count(params: ClusterParams, variant: str = "p") -> int:
     normalizers; a non-integer result raises InternalConsistencyError.
     """
     v = _normalize_variant(variant)
-    _check_degree_budget(params.m, params.a, params.b, params.n, v)
-    it = iter_exact_counts(params.m, params.a, params.b, v)
-    count = 0
-    for _ in range(params.n):
-        count = next(it)
-    return count
+    m, a, b, n = params.m, params.a, params.b, params.n
+    lo, c = _nth_integrand(m, a, b, n, v)
+    return _finalize_count(lo, c, _weight_unit(m, a, b) ** (n + (v == "q")))
 
 
 def exact_count_sweep(m: int, a: int, b: int, n_max: int,
@@ -250,7 +167,7 @@ def exact_count_sweep(m: int, a: int, b: int, n_max: int,
     if n_max < 1:
         raise InvalidInputError("n_max must be >= 1")
     v = _normalize_variant(variant)
-    _check_degree_budget(m, a, b, n_max, v)
+    _check_budget(_degree(m, a, b, n_max, v))
     it = iter_exact_counts(m, a, b, v)
     return [next(it) for _ in range(n_max)]
 
@@ -264,26 +181,7 @@ def iterated_integral(params: ClusterParams, variant: str = "p") -> Fraction:
     at index n.
     """
     m, a, b, n = params.m, params.a, params.b, params.n
-    v = _normalize_variant(variant)
-    _check_degree_budget(m, a, b, n, v)
-    full = _weight_terms(a - 1, m - b)
-    shift = b - a
-
-    if v == "q":
-        c = _initial_state(full)
-        for _ in range(n):
-            c = _apply_weight([0] * shift + c, full)
-        final = c
-    else:
-        c = _initial_state(_weight_terms(a - 1, 0))
-        end = _weight_terms(0, m - b)
-        for k in range(1, n + 1):
-            shifted = [0] * shift + c
-            if k == n:
-                final = _apply_weight(shifted, end)
-            else:
-                c = _apply_weight(shifted, full)
-    degree = len(final) - 1
+    lo, c = _nth_integrand(m, a, b, n, _normalize_variant(variant))
     # the x^k/k! basis absorbed one 1/(b-a-1)! per kernel pass; restore it
-    value = Fraction(_scaled_tail_sum(final), math.factorial(degree + 1))
-    return value * Fraction(math.factorial(b - a - 1)) ** n
+    value = Fraction(_tail_sum(lo, c), math.factorial(lo + len(c)))
+    return value * math.factorial(b - a - 1) ** n

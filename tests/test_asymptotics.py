@@ -6,7 +6,7 @@ from scipy.special import polygamma
 
 from clusterext import asymptotics
 from clusterext.errors import DomainError, InvalidInputError
-from clusterext.exact_counts import exact_count
+from clusterext.exact_counts import exact_count, exact_count_sweep
 from clusterext.posets import ClusterParams
 
 
@@ -194,6 +194,14 @@ def test_crossover_search():
     assert n0 == 2
     with pytest.raises(InvalidInputError):
         asymptotics.crossover_search(4, 1, 2, 2, 3, 10)  # d = 1 out of scope
+
+
+def test_crossover_sweeps_returns_the_rows_it_judged():
+    first, second, n0 = asymptotics.crossover_sweeps(6, 1, 3, 2, 4, 12)
+    assert first == exact_count_sweep(6, 1, 3, 12, "p")
+    assert second == exact_count_sweep(6, 2, 4, 12, "p")
+    assert n0 == 2
+    assert asymptotics.crossover_search(6, 1, 3, 2, 4, 1) is None  # n = 1 ties
 
 
 def test_d1_inequality_reversed_at_n2():

@@ -1,10 +1,13 @@
 import io
 import json
 import math
+import sys
 
 import pytest
 
 from clusterext import cli
+from clusterext.exact_counts import exact_count
+from clusterext.posets import ClusterParams
 
 
 def run_cli(*argv):
@@ -39,6 +42,30 @@ def test_count_json_roundtrip():
     assert status == 0
     data = json.loads(out)
     assert data["count"] > 10 ** 20  # huge integer survives the round trip
+
+
+def _big_int(digits):
+    """int(digits) in chunks, clear of the interpreter's str-to-int digit limit."""
+    value = 0
+    for start in range(0, len(digits), 1000):
+        chunk = digits[start:start + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value
+
+
+def test_count_json_beyond_str_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    status, out = run_cli("count", "--m", "20", "--a", "5", "--b", "12",
+                          "--n", "160", "--format", "json")
+    assert status == 0
+    assert sys.get_int_max_str_digits() == limit
+    count = json.loads(out, parse_int=_big_int)["count"]
+    assert count == exact_count(ClusterParams(20, 5, 12, 160), "p")
+    assert count.bit_length() > 4300 * math.log2(10)
+    # the limit is restored on the error paths too
+    assert run_cli("count", "--m", "8", "--a", "3", "--b", "5",
+                   "--n", "10000")[0] == 3
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_constant_output():
@@ -79,6 +106,26 @@ def test_compare_json():
     data = json.loads(out)
     assert data["n0"] == 2
     assert len(data["rows"]) == 8
+
+
+def test_compare_runs_each_sweep_once(monkeypatch):
+    from clusterext import asymptotics
+
+    calls = []
+    sweep = asymptotics.exact_count_sweep
+
+    def counting_sweep(*args):
+        calls.append(args)
+        return sweep(*args)
+
+    monkeypatch.setattr(asymptotics, "exact_count_sweep", counting_sweep)
+    status, out = run_cli("compare", "--m", "6", "--a", "1", "--b", "3",
+                          "--a2", "2", "--b2", "4", "--n-max", "8",
+                          "--format", "json")
+    assert status == 0
+    assert calls == [(6, 1, 3, 8, "p"), (6, 2, 4, 8, "p")]
+    data = json.loads(out)
+    assert [r["count_1"] for r in data["rows"]] == sweep(6, 1, 3, 8, "p")
 
 
 def test_profile_csv_and_svg(tmp_path):

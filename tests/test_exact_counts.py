@@ -1,15 +1,18 @@
 import math
 from fractions import Fraction
+from itertools import islice
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clusterext.errors import InvalidInputError
-from clusterext.exact_counts import (RationalPoly, exact_count,
-                                     exact_count_sweep, iter_exact_counts,
-                                     iterated_integral, step_integral)
+from clusterext.exact_counts import (exact_count, exact_count_sweep,
+                                     iter_exact_counts, iterated_integral)
 from clusterext.posets import (ClusterParams, cluster_poset,
                                count_linear_extensions_bruteforce,
                                modified_cluster_poset)
+from oracle import RationalPoly, step_integral
 
 F = Fraction
 
@@ -150,6 +153,32 @@ def test_exact_count_symmetry():
             assert lhs == rhs
 
 
+@st.composite
+def shapes(draw, m_max=12, n_max=30):
+    m = draw(st.integers(2, m_max))
+    a = draw(st.integers(1, m - 1))
+    b = draw(st.integers(a + 1, m))
+    return m, a, b, draw(st.integers(1, n_max))
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=shapes(), variant=st.sampled_from("pq"))
+def test_single_count_sweep_and_generator_agree(shape, variant):
+    m, a, b, n = shape
+    count = exact_count(ClusterParams(m, a, b, n), variant)
+    assert count == exact_count_sweep(m, a, b, n, variant)[n - 1]
+    assert count == next(islice(iter_exact_counts(m, a, b, variant), n - 1, None))
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=shapes(), variant=st.sampled_from("pq"))
+def test_mirror_symmetry_property(shape, variant):
+    m, a, b, n = shape
+    mirror = ClusterParams(m, m + 1 - b, m + 1 - a, n)
+    assert exact_count(ClusterParams(m, a, b, n), variant) == \
+        exact_count(mirror, variant)
+
+
 def test_counts_nondecreasing_in_n():
     for (m, a, b) in [(3, 1, 2), (5, 2, 4), (6, 1, 4)]:
         counts = exact_count_sweep(m, a, b, 12, "p")
@@ -185,7 +214,6 @@ def test_degree_budget_raises_upfront():
         iterated_integral(ClusterParams(8, 3, 5, 10_000), "q")
 
 
-@pytest.mark.slow
 def test_large_case_budget_and_symmetry():
     # degree ~ 707 at (8,3,5,100); must run well within a few minutes
     counts = exact_count_sweep(8, 3, 5, 100, "p")
