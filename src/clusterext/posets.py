@@ -33,7 +33,7 @@ class ClusterParams:
     def __post_init__(self) -> None:
         for name in ("m", "a", "b", "n"):
             v = getattr(self, name)
-            if not isinstance(v, int):
+            if type(v) is not int:  # also refuses bool
                 raise InvalidInputError(f"{name} must be an integer, got {v!r}")
         if not (1 <= self.a < self.b <= self.m):
             raise InvalidInputError(

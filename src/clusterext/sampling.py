@@ -5,7 +5,16 @@ the adjacent pair there when the two elements are incomparable.  The walk is
 lazy (aperiodic), irreducible on the set of linear extensions, and symmetric,
 so its stationary distribution is uniform.  Mixing is governed by the known
 cubic bound for this chain, hence the default burn-in of |P|^3 ln |P| steps
-and thinning of |P|^2 steps between recorded samples.
+and thinning of |P|^2 steps between recorded samples.  A
+:func:`height_profile` or :func:`sample_distribution` request over
+``MAX_CHAIN_STEPS`` steps or ``MAX_CHAIN_ELEMENTS`` elements raises
+:class:`ResourceLimitError` before any chain is built.
+
+Each step takes one integer from a PCG64 stream, drawn in chunks of at most
+2^15 per :meth:`ExtensionChain.run` call; its low bit is the lazy coin.  The
+coin is filtered in numpy, so Python only loops over the proposals that
+win it.  A trajectory therefore depends only on the poset, the seed and
+the sequence of step counts passed to ``run``.
 
 The height experiment records, for each glue element X_i of a glued-chain
 poset, the fraction of the other elements that precede it; for large n these
@@ -21,11 +30,17 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, ResourceLimitError
 from .posets import ClusterParams, FinitePoset, cluster_poset, glue_labels
 from .profiles import limit_profile
 
 _CHUNK = 1 << 15
+
+#: Step budget of one sampling request: burn-in plus samples times thinning.
+MAX_CHAIN_STEPS = 10 ** 9
+
+#: Size cap of a sampled poset; the chain's order table takes |P|^2 bytes.
+MAX_CHAIN_ELEMENTS = 4096
 
 
 def default_burnin(size: int) -> int:
@@ -40,20 +55,42 @@ def default_thinning(size: int) -> int:
     return max(1, size * size)
 
 
+def _budget(size: int, samples: int, burnin: Optional[int],
+            thinning: Optional[int]) -> Tuple[int, int]:
+    """Validate a sampling request, fill in the default (burnin, thinning)
+    and refuse it, before any chain is built, if it is over the caps."""
+    if samples < 1 or (burnin is not None and burnin < 0) or \
+            (thinning is not None and thinning < 1):
+        raise InvalidInputError("need samples >= 1, burnin >= 0 and thinning >= 1")
+    if size > MAX_CHAIN_ELEMENTS:
+        raise ResourceLimitError(
+            f"sampling supports posets of at most {MAX_CHAIN_ELEMENTS} elements")
+    if burnin is None:
+        burnin = default_burnin(size)
+    if thinning is None:
+        thinning = default_thinning(size)
+    if burnin + samples * thinning > MAX_CHAIN_STEPS:
+        raise ResourceLimitError(
+            f"burn-in + samples * thinning exceeds the cap of {MAX_CHAIN_STEPS} "
+            f"chain steps")
+    return burnin, thinning
+
+
 class ExtensionChain:
     """Mutable Markov-chain state over the linear extensions of a poset.
 
-    Deterministic given (poset, seed): one PCG64 stream drives every step.
+    Deterministic given the poset, the seed and the step counts of the
+    successive :meth:`run` calls: one PCG64 stream drives every step.
     ``validate=True`` re-checks the extension property after every step and
-    is meant for tests on small posets.
+    is meant for tests on small posets.  ``position`` (element -> index in
+    ``order``) is rebuilt at the end of each :meth:`run` call.
     """
 
     def __init__(self, poset: FinitePoset, seed: int, validate: bool = False):
         self.poset = poset
         self.order: List[int] = list(poset.topological_order())
         self.position: List[int] = [0] * len(poset)
-        for idx, elem in enumerate(self.order):
-            self.position[elem] = idx
+        self._sync_position()
         self._less = poset.less_matrix()
         self._rng = np.random.default_rng(seed)
         self.validate = validate
@@ -66,26 +103,48 @@ class ExtensionChain:
         if size < 2:
             return
         order = self.order
-        position = self.position
         less = self._less
+        integers = self._rng.integers
+        validate = self.validate
         span = 2 * (size - 1)  # position choice and lazy coin drawn together
         remaining = steps
         while remaining > 0:
+            # the draw size per call fixes how the bounded generator uses the stream
             chunk = min(remaining, _CHUNK)
-            draws = self._rng.integers(0, span, size=chunk).tolist()
-            for r in draws:
-                if r & 1:
-                    j = r >> 1
+            draws = integers(0, span, size=chunk)
+            remaining -= chunk
+            if validate:
+                self._run_checked(draws.tolist())
+            else:  # only the draws that win the lazy coin can move
+                for j in (draws[(draws & 1) == 1] >> 1).tolist():
                     u = order[j]
                     v = order[j + 1]
                     if not less[u][v]:
                         order[j] = v
                         order[j + 1] = u
-                        position[u] = j + 1
-                        position[v] = j
-                if self.validate:
-                    self._assert_valid()
-            remaining -= chunk
+        self._sync_position()
+
+    def _run_checked(self, draws: List[int]) -> None:
+        """The same moves, with ``position`` kept current and checked after every draw."""
+        order = self.order
+        position = self.position
+        less = self._less
+        for r in draws:
+            if r & 1:
+                j = r >> 1
+                u = order[j]
+                v = order[j + 1]
+                if not less[u][v]:
+                    order[j] = v
+                    order[j + 1] = u
+                    position[u] = j + 1
+                    position[v] = j
+            self._assert_valid()
+
+    def _sync_position(self) -> None:
+        position = self.position
+        for idx, elem in enumerate(self.order):
+            position[elem] = idx
 
     def _assert_valid(self) -> None:
         for x, y in self.poset.covers:
@@ -149,8 +208,7 @@ def enumerate_linear_extensions(poset: FinitePoset,
 def sample_distribution(poset: FinitePoset, num_samples: int, thinning: int,
                         burnin: int, seed: int) -> Dict[Tuple[int, ...], int]:
     """Empirical distribution over extensions from one thinned chain."""
-    if num_samples < 1 or thinning < 1 or burnin < 0:
-        raise InvalidInputError("need num_samples >= 1, thinning >= 1, burnin >= 0")
+    _budget(len(poset), num_samples, burnin, thinning)
     chain = ExtensionChain(poset, seed)
     chain.run(burnin)
     counts: Dict[Tuple[int, ...], int] = {}
@@ -184,16 +242,9 @@ def height_profile(params: ClusterParams, samples: int,
                    thinning: Optional[int] = None,
                    seed: int = 0) -> HeightProfile:
     """Estimate the mean normalized height of each glue element by MCMC."""
-    if samples < 1:
-        raise InvalidInputError("need samples >= 1")
+    size = params.p_size
+    burnin, thinning = _budget(size, samples, burnin, thinning)
     poset = cluster_poset(params)
-    size = len(poset)
-    if burnin is None:
-        burnin = default_burnin(size)
-    if thinning is None:
-        thinning = default_thinning(size)
-    if burnin < 0 or thinning < 1:
-        raise InvalidInputError("need burnin >= 0 and thinning >= 1")
     glue = [poset.index(lab) for lab in glue_labels(params)]
 
     chain = ExtensionChain(poset, seed)

@@ -2,10 +2,13 @@ import io
 import json
 import math
 import sys
+from unittest import mock
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
-from clusterext import cli
+from clusterext import cli, sampling
 from clusterext.exact_counts import exact_count
 from clusterext.posets import ClusterParams
 
@@ -199,3 +202,64 @@ def test_resource_errors_exit_3():
     status, _ = run_cli("count", "--m", "3", "--a", "1", "--b", "2",
                         "--n", "50", "--method", "brute")
     assert status == 3
+    # about 3e12 chain steps with the default burn-in
+    status, out = run_cli("sample", "--m", "8", "--a", "3", "--b", "5",
+                          "--n", "1000")
+    assert status == 3 and out == ""
+
+
+# just past every cap, so a drawn huge value can never make a request that runs
+HUGE = st.integers(sampling.MAX_CHAIN_STEPS + 1, 10 ** 30)
+
+
+def expected_sample_status(m, a, b, n, samples, burnin, thinning):
+    if not (1 <= a < b <= m and n >= 1):
+        return 2
+    if samples < 1 or (burnin is not None and burnin < 0) or \
+            (thinning is not None and thinning < 1):
+        return 2
+    size = (m - 1) * n + 1
+    if size > sampling.MAX_CHAIN_ELEMENTS:
+        return 3
+    burnin = sampling.default_burnin(size) if burnin is None else burnin
+    thinning = sampling.default_thinning(size) if thinning is None else thinning
+    return 3 if burnin + samples * thinning > sampling.MAX_CHAIN_STEPS else 0
+
+
+@st.composite
+def valid_mab(draw):
+    m = draw(st.integers(2, 6))
+    a = draw(st.integers(1, m - 1))
+    return m, a, draw(st.integers(a + 1, m))
+
+
+def mixed(valid, invalid):
+    return st.one_of(valid, valid, invalid, HUGE)
+
+
+@settings(max_examples=150, deadline=None)
+@given(mab=st.one_of(valid_mab(), valid_mab(),
+                     st.tuples(st.one_of(st.integers(-2, 6), HUGE),
+                               st.integers(-2, 6), st.integers(-2, 7))),
+       n=mixed(st.integers(1, 4), st.integers(-2, 0)),
+       samples=mixed(st.integers(1, 5), st.integers(-2, 0)),
+       burnin=st.one_of(st.none(), mixed(st.integers(0, 3000), st.integers(-5, -1))),
+       thinning=st.one_of(st.none(), mixed(st.integers(1, 50), st.integers(-2, 0))))
+def test_sample_exit_codes_fuzz(mab, n, samples, burnin, thinning):
+    m, a, b = mab
+    argv = ["sample", f"--m={m}", f"--a={a}", f"--b={b}", f"--n={n}",
+            f"--samples={samples}", "--format=json"]
+    if burnin is not None:
+        argv.append(f"--burnin={burnin}")
+    if thinning is not None:
+        argv.append(f"--thinning={thinning}")
+    expected = expected_sample_status(m, a, b, n, samples, burnin, thinning)
+    with mock.patch.object(sampling, "cluster_poset",
+                           wraps=sampling.cluster_poset) as built:
+        status, out = run_cli(*argv)
+    event(f"exit {status}")
+    assert status == expected
+    # refused requests never build the poset, let alone run the chain
+    assert built.call_count == (1 if status == 0 else 0)
+    if status == 0:
+        assert json.loads(out)["samples"] == samples

@@ -30,6 +30,13 @@ def test_params_validation():
         ClusterParams(3, 1, 2, 0)
 
 
+@pytest.mark.parametrize("fields", [(3, 1, 2, True), (True, False, True, 1),
+                                    (3.0, 1, 2, 1), (3, 1, 2, "1")])
+def test_params_reject_non_int(fields):
+    with pytest.raises(InvalidInputError):
+        ClusterParams(*fields)
+
+
 def test_params_derived_quantities():
     p = ClusterParams(8, 3, 5, 2)
     assert p.d == 2

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from clusterext.errors import InvalidInputError
+from clusterext import sampling
+from clusterext.errors import InvalidInputError, ResourceLimitError
 from clusterext.posets import ClusterParams, FinitePoset, cluster_poset
 from clusterext.sampling import (ExtensionChain, concentration_report,
                                  default_burnin, default_thinning,
@@ -53,6 +56,84 @@ def test_states_stay_valid_with_validation_on():
     position = {e: i for i, e in enumerate(order)}
     for x, y in poset.covers:
         assert position[x] < position[y]
+
+
+@st.composite
+def small_shapes(draw):
+    m = draw(st.integers(2, 6))
+    a = draw(st.integers(1, m - 1))
+    b = draw(st.integers(a + 1, m))
+    return ClusterParams(m, a, b, draw(st.integers(1, 4)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(params=small_shapes(), seed=st.integers(0, 2 ** 32 - 1),
+       calls=st.lists(st.integers(0, 70_000), min_size=1, max_size=3))
+@example(params=ClusterParams(4, 2, 3, 3), seed=1, calls=[32768, 1, 32769])
+def test_validated_chain_follows_the_same_trajectory(params, seed, calls):
+    poset = cluster_poset(params)
+    fast = ExtensionChain(poset, seed)
+    checked = ExtensionChain(poset, seed, validate=True)
+    for steps in calls:
+        fast.run(steps)
+        checked.run(steps)
+        assert fast.state() == checked.state()
+        assert fast.position == checked.position
+        assert all(fast.position[e] == i for i, e in enumerate(fast.state()))
+
+
+def test_validation_checks_every_draw(monkeypatch):
+    # the check runs after every draw, also the ones that lose the lazy coin
+    checks = []
+    monkeypatch.setattr(ExtensionChain, "_assert_valid",
+                        lambda self: checks.append(None))
+    chain = ExtensionChain(cluster_poset(ClusterParams(3, 1, 2, 2)), 0,
+                           validate=True)
+    chain.run(40_000)
+    assert len(checks) == 40_000
+
+
+def test_over_budget_requests_are_refused_before_sampling(monkeypatch):
+    def no_chain(*args, **kwargs):
+        raise AssertionError("a chain was built for a refused request")
+
+    monkeypatch.setattr(sampling, "ExtensionChain", no_chain)
+    monkeypatch.setattr(sampling, "cluster_poset", no_chain)
+    cap = sampling.MAX_CHAIN_STEPS
+    # about 3e12 steps with the default burn-in
+    with pytest.raises(ResourceLimitError):
+        height_profile(ClusterParams(8, 3, 5, 1000), samples=200)
+    with pytest.raises(ResourceLimitError):
+        height_profile(ClusterParams(3, 1, 2, 2), samples=1, burnin=cap, thinning=1)
+    with pytest.raises(ResourceLimitError):
+        height_profile(ClusterParams(3, 1, 2, 2), samples=cap, burnin=0, thinning=2)
+    with pytest.raises(ResourceLimitError):
+        height_profile(ClusterParams(9, 1, 2, 10 ** 30), samples=1, burnin=0,
+                       thinning=1)
+    with pytest.raises(ResourceLimitError):
+        sample_distribution(antichain(3), 10 ** 6, thinning=10 ** 3 + 1,
+                            burnin=0, seed=0)
+    with pytest.raises(ResourceLimitError):
+        sample_distribution(antichain(sampling.MAX_CHAIN_ELEMENTS + 1), 1,
+                            thinning=1, burnin=0, seed=0)
+    with pytest.raises(InvalidInputError):  # bad input is reported first
+        height_profile(ClusterParams(9, 1, 2, 10 ** 30), samples=1, burnin=-1)
+
+
+class _ChainBuilt(Exception):
+    pass
+
+
+def test_budget_at_the_cap_is_accepted(monkeypatch):
+    def chain_built(*args, **kwargs):
+        raise _ChainBuilt
+
+    monkeypatch.setattr(sampling, "ExtensionChain", chain_built)
+    cap = sampling.MAX_CHAIN_STEPS
+    with pytest.raises(_ChainBuilt):
+        sample_distribution(antichain(3), 1, thinning=1, burnin=cap - 1, seed=0)
+    with pytest.raises(_ChainBuilt):
+        height_profile(ClusterParams(8, 3, 5, 10), samples=200)  # the slow diagnostic
 
 
 def test_enumerate_linear_extensions():
