@@ -26,12 +26,14 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .asymptotics import log_beta
-from .errors import (DegenerateParameterError, DomainError, InvalidInputError)
+from .errors import (DegenerateParameterError, DomainError,
+                     InternalConsistencyError, InvalidInputError)
 from .posets import ClusterParams
 
 _CF_EPS = 1e-16
 _CF_TINY = 1e-300
 _CF_MAX_ITER = 600
+_PROFILE_MAX_ITER = 80
 
 #: Minimum tabulation size accepted for the general variational problem.
 MIN_TABLE_POINTS = 1001
@@ -71,7 +73,9 @@ def _beta_cf(alpha: float, beta: float, x: float) -> float:
         h *= delta
         if abs(delta - 1.0) < _CF_EPS:
             return h
-    return h  # converged to machine precision in practice well before the cap
+    raise InternalConsistencyError(
+        f"incomplete beta continued fraction did not converge in {_CF_MAX_ITER} "
+        f"iterations (alpha={alpha}, beta={beta}, x={x})")
 
 
 def regularized_incomplete_beta(alpha: float, beta: float, x: float) -> float:
@@ -128,7 +132,7 @@ def limit_profile(m: int, a: int, b: int, t: float) -> float:
         return 1.0
     lo, hi = 0.0, 1.0
     s = 0.5
-    for _ in range(80):
+    for _ in range(_PROFILE_MAX_ITER):
         g = regularized_incomplete_beta(alpha, beta, s)
         if g < t:
             lo = s
@@ -142,7 +146,9 @@ def limit_profile(m: int, a: int, b: int, t: float) -> float:
         if not lo < proposal < hi:
             proposal = 0.5 * (lo + hi)
         s = proposal
-    return s
+    raise InternalConsistencyError(
+        f"limit profile did not converge in {_PROFILE_MAX_ITER} iterations "
+        f"(m={m}, a={a}, b={b}, t={t})")
 
 
 def _weight_density(m: int, a: int, b: int, u: float) -> float:

@@ -1,15 +1,22 @@
-"""Slow exact-rational reference for the iterated integral.
+"""Slow references the tests cross-check the fast paths against.
 
-The plain rational-polynomial form of the integration that
-:mod:`clusterext.exact_counts` does in the integer x^k/k! basis; the tests
-cross-check the fast path against it.
+* ``RationalPoly`` and ``step_integral``: the plain rational-polynomial form
+  of the integration that :mod:`clusterext.exact_counts` does in the integer
+  x^k/k! basis.
+* ``_histograms_for_length``: the per-length brute-force S_n sweep that
+  :mod:`clusterext.patterns` replaced by one incremental depth-first sweep;
+  it ranks every window of every text from scratch and tallies all m!
+  patterns per text.
 """
 
 import math
 from fractions import Fraction
-from typing import Iterable, Tuple
+from functools import lru_cache
+from itertools import permutations as _permutations
+from typing import Dict, Iterable, Sequence, Tuple
 
-from clusterext.errors import InvalidInputError
+from clusterext.errors import InvalidInputError, ResourceLimitError
+from clusterext.patterns import MAX_TEXT_LENGTH, Pattern
 
 
 class RationalPoly:
@@ -91,3 +98,27 @@ def step_integral(g: RationalPoly, kernel_exponent: int) -> RationalPoly:
             out[k + e + 1] = c * Fraction(math.factorial(k) * fe,
                                           math.factorial(k + e + 1))
     return RationalPoly(out)
+
+
+def _window_pattern(window: Sequence[int]) -> Pattern:
+    # rank-by-comparison; O(m^2) but branch-free and allocation-light
+    return tuple(sum(1 for w in window if w < x) + 1 for x in window)
+
+
+@lru_cache(maxsize=None)
+def _histograms_for_length(m: int, n: int) -> Dict[Pattern, Dict[int, int]]:
+    """Occurrence histograms of every length-m pattern over S_n, in one sweep."""
+    if n > MAX_TEXT_LENGTH:
+        raise ResourceLimitError(f"text enumeration supported for n <= {MAX_TEXT_LENGTH}")
+    hist: Dict[Pattern, Dict[int, int]] = {
+        p: {} for p in _permutations(range(1, m + 1))
+    }
+    for text in _permutations(range(1, n + 1)):
+        seen: Dict[Pattern, int] = {}
+        for i in range(n - m + 1):
+            w = _window_pattern(text[i:i + m])
+            seen[w] = seen.get(w, 0) + 1
+        for p, d in hist.items():
+            k = seen.get(p, 0)
+            d[k] = d.get(k, 0) + 1
+    return hist

@@ -1,0 +1,62 @@
+"""Identity gate: evidence classes match recorded SHA-256 digests.
+
+``classify_digests.json`` was recorded from the per-length brute-force
+sweep (now ``tests/oracle.py``) that the single incremental S_n sweep
+replaced, so any change to the partition a caller gets back fails here.
+The horizons are those of the ``classify_patterns`` benchmark workload.
+Re-record with
+
+    PYTHONPATH=src python tests/test_classify_digests.py --record
+
+only when the classes are meant to change, which for exact evidence is never.
+"""
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from clusterext.patterns import evidence_classes
+
+DIGEST_FILE = Path(__file__).with_name("classify_digests.json")
+HORIZONS = ((1, (6, 7, 8)), (2, (6, 7, 8)), (3, (6, 7, 8)), (4, (6, 7, 8)),
+            (5, (6, 7, 8)), (6, (5, 6, 7)))
+CASES = [(m, n_max, strong) for m, horizons in HORIZONS for n_max in horizons
+         for strong in (True, False)]
+
+
+def _key(m, n_max, strong):
+    return f"{m},{n_max},{'strong' if strong else 'weak'}"
+
+
+def classes_digest(m, n_max, strong):
+    """Class count and SHA-256 of the JSON of the sorted classes."""
+    classes = evidence_classes(m, n_max, strong)
+    text = json.dumps([["".join(map(str, p)) for p in cls] for cls in classes])
+    return {"classes": len(classes),
+            "sha256": hashlib.sha256(text.encode()).hexdigest()}
+
+
+@pytest.fixture(scope="module")
+def recorded():
+    return json.loads(DIGEST_FILE.read_text())
+
+
+def test_recorded_cases(recorded):
+    assert sorted(recorded) == sorted(_key(*case) for case in CASES)
+
+
+@pytest.mark.parametrize("case", CASES, ids=lambda case: _key(*case))
+def test_classify_digests(recorded, case):
+    assert classes_digest(*case) == recorded[_key(*case)]
+
+
+def record():
+    data = {_key(*case): classes_digest(*case) for case in CASES}
+    DIGEST_FILE.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__" and sys.argv[1:] == ["--record"]:
+    record()

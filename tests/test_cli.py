@@ -8,7 +8,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from clusterext import cli, sampling
+from clusterext import cli, profiles, sampling
 from clusterext.exact_counts import exact_count
 from clusterext.posets import ClusterParams
 
@@ -183,6 +183,22 @@ def test_classify_json():
     assert sum(len(c) for c in data["classes"]) == 24
 
 
+@pytest.mark.parametrize("n_max", ["0", "-4"])
+def test_classify_empty_horizon_exits_2(n_max):
+    status, out = run_cli("classify", "--m", "3", "--n-max", n_max)
+    assert status == 2 and out == ""
+
+
+@pytest.mark.slow
+def test_classify_largest_request_finishes():
+    # m = MAX_CLASSIFY_LENGTH at n = MAX_TEXT_LENGTH: all of S_1..S_10
+    status, out = run_cli("classify", "--m", "7", "--n-max", "10",
+                          "--format", "json")
+    assert status == 0
+    classes = json.loads(out)["classes"]
+    assert sum(len(c) for c in classes) == math.factorial(7)
+
+
 def test_check_subcommand():
     status, out = run_cli("check")
     assert status == 0
@@ -206,6 +222,12 @@ def test_resource_errors_exit_3():
     status, out = run_cli("sample", "--m", "8", "--a", "3", "--b", "5",
                           "--n", "1000")
     assert status == 3 and out == ""
+
+
+def test_nonconvergence_exits_4(monkeypatch):
+    monkeypatch.setattr(profiles, "_PROFILE_MAX_ITER", 2)
+    status, out = run_cli("profile", "--m", "8", "--a", "3", "--b", "5")
+    assert status == 4 and out == ""
 
 
 # just past every cap, so a drawn huge value can never make a request that runs

@@ -4,9 +4,12 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clusterext import patterns
 from clusterext.errors import InvalidInputError, ResourceLimitError
+from oracle import _histograms_for_length
 
 
 def test_standardize_examples():
@@ -153,6 +156,17 @@ def test_cwilf_evidence_validation():
         patterns.cwilf_evidence((1, 2), (2, 1), 11)
 
 
+@pytest.mark.parametrize("n_max", [0, -4])
+def test_empty_horizon_is_refused(n_max):
+    # no text length at all would make every pair "equivalent"
+    with pytest.raises(InvalidInputError):
+        patterns.cwilf_evidence((1, 2, 3), (1, 3, 2), n_max)
+    with pytest.raises(InvalidInputError):
+        patterns.evidence_classes(3, n_max)
+    with pytest.raises(InvalidInputError):
+        patterns.occurrence_histogram((1, 2), n_max)
+
+
 def test_evidence_classes_s3():
     classes = patterns.evidence_classes(3, 6)
     assert classes == [
@@ -164,3 +178,52 @@ def test_evidence_classes_s3():
 def test_evidence_classes_resource_guard():
     with pytest.raises(ResourceLimitError):
         patterns.evidence_classes(8, 5)
+
+
+# (m, largest n) pairs checked against the per-length brute-force oracle
+ORACLE_CASES = [(m, 8) for m in range(1, 6)] + [(6, 7)]
+
+
+@pytest.mark.parametrize("m,n_top", ORACLE_CASES)
+def test_sweep_matches_brute_force(m, n_top):
+    for p in permutations(range(1, m + 1)):
+        swept = patterns._pattern_histograms(p, n_top)
+        for n in range(1, n_top + 1):
+            want = _histograms_for_length(m, n)[p]
+            assert swept[n - 1] == want, (p, n)
+            # a shorter horizon is a fresh sweep that stops at depth n
+            assert patterns.occurrence_histogram(p, n).counts == want, (p, n)
+
+
+def test_single_entry_pattern_occurs_everywhere():
+    for n in range(1, 9):
+        assert patterns.occurrence_histogram((1,), n).counts == {n: math.factorial(n)}
+
+
+def test_two_entry_patterns():
+    # 12 occurs at each ascent: the Eulerian numbers
+    assert patterns.occurrence_histogram((1, 2), 5).counts == {
+        0: 1, 1: 26, 2: 66, 3: 26, 4: 1}
+    assert (patterns.occurrence_histogram((2, 1), 5).counts
+            == patterns.occurrence_histogram((1, 2), 5).counts)
+
+
+def test_texts_shorter_than_pattern_have_no_occurrences():
+    for m in range(2, 7):
+        for n in range(1, m):
+            for p in [tuple(range(1, m + 1)), tuple(range(m, 0, -1))]:
+                assert patterns.occurrence_histogram(p, n).counts == {0: math.factorial(n)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(1, 6), n=st.integers(1, 8))
+def test_histogram_moments_and_symmetries(m, n):
+    total = math.factorial(n)
+    for p in permutations(range(1, m + 1)):
+        h = patterns.occurrence_histogram(p, n).counts
+        assert sum(h.values()) == total
+        # every window is uniform over S_m: sum_k k h[k] = windows * n! / m!
+        assert (sum(k * v for k, v in h.items()) * math.factorial(m)
+                == max(0, n - m + 1) * total)
+        assert patterns.occurrence_histogram(patterns.reverse(p), n).counts == h
+        assert patterns.occurrence_histogram(patterns.complement(p), n).counts == h

@@ -7,7 +7,7 @@ from scipy.special import betainc
 
 from clusterext import profiles
 from clusterext.errors import (DegenerateParameterError, DomainError,
-                               InvalidInputError)
+                               InternalConsistencyError, InvalidInputError)
 from clusterext.profiles import (ProfileTable, VariationalProblem, beta_value,
                                  limit_profile, limit_profile_slope,
                                  profile_csv, profile_increment_bounds,
@@ -42,6 +42,20 @@ def test_limit_profile_near_endpoints():
             f = limit_profile(m, a, b, t)
             assert 0.0 <= f <= 1.0
             assert abs(weight_cdf(m, a, b, f) - t) <= 1e-10
+
+
+def test_continued_fraction_cap_is_loud(monkeypatch):
+    assert 0.0 < regularized_incomplete_beta(5.0, 7.0, 0.3) < 1.0
+    monkeypatch.setattr(profiles, "_CF_MAX_ITER", 2)
+    with pytest.raises(InternalConsistencyError, match="did not converge"):
+        regularized_incomplete_beta(5.0, 7.0, 0.3)
+
+
+def test_limit_profile_cap_is_loud(monkeypatch):
+    assert 0.0 < limit_profile(8, 3, 5, 0.3) < 1.0
+    monkeypatch.setattr(profiles, "_PROFILE_MAX_ITER", 2)
+    with pytest.raises(InternalConsistencyError, match="did not converge"):
+        limit_profile(8, 3, 5, 0.3)
 
 
 def test_incomplete_beta_domain():
