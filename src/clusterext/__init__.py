@@ -16,6 +16,11 @@ The package has six layers:
   adjacent transpositions and the height-concentration experiment.
 
 A command-line frontend lives in :mod:`clusterext.cli`.
+
+Only :mod:`clusterext.profiles` and :mod:`clusterext.sampling` use numpy, and
+they import it inside the functions that need it, so ``import clusterext``
+and the exact, integer-only work (counts, constants, fits, patterns) never
+load it.
 """
 
 from .asymptotics import (AsymptoticConstant, constant_concavity, constant_gap,

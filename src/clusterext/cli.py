@@ -120,11 +120,15 @@ def _cmd_constant(args, out) -> int:
 
 
 def _cmd_fit(args, out) -> int:
+    if args.points < 0:
+        raise InvalidInputError("--points must be >= 0 (0 keeps every n)")
     const = asymptotics.growth_constant(args.m, args.a, args.b)
     n_values = list(range(1, args.n_max + 1))
-    if args.points and args.points < len(n_values):
+    if args.points == 1:
+        n_values = n_values[-1:]
+    elif 1 < args.points < len(n_values):
         # evenly spaced subsample, always keeping n_max
-        step = (args.n_max - 1) / (args.points - 1) if args.points > 1 else 0
+        step = (args.n_max - 1) / (args.points - 1)
         n_values = sorted({1 + round(i * step) for i in range(args.points)})
     counts = exact_counts.exact_count_sweep(args.m, args.a, args.b,
                                             args.n_max, "p")
@@ -323,7 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_mab(p)
     p.add_argument("--n-max", type=int, default=50, help="largest n (default: 50)")
     p.add_argument("--points", type=int, default=0,
-                   help="subsample to this many n values (default: all)")
+                   help="subsample to this many evenly spaced n values, "
+                        "always keeping n_max (default: 0, all)")
     add_format(p)
     p.set_defaults(func=_cmd_fit)
 

@@ -23,11 +23,13 @@ lives in the tests as an oracle for this one.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from typing import Iterator, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterator, List, Sequence, Tuple
 
 from .errors import InternalConsistencyError, InvalidInputError, ResourceLimitError
 from .posets import ClusterParams
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 #: Degree guard for the iterated integral (degree grows like (m-1)n).
 MAX_INTEGRAL_DEGREE = 6000
@@ -180,6 +182,8 @@ def iterated_integral(params: ClusterParams, variant: str = "p") -> Fraction:
     variant drops the (1-x)^(m-b) factor at index 0 and the x^(a-1) factor
     at index n.
     """
+    from fractions import Fraction
+
     m, a, b, n = params.m, params.a, params.b, params.n
     lo, c = _nth_integrand(m, a, b, n, _normalize_variant(variant))
     # the x^k/k! basis absorbed one 1/(b-a-1)! per kernel pass; restore it

@@ -48,7 +48,8 @@ Pattern = Tuple[int, ...]
 MAX_TEXT_LENGTH = 10
 #: Largest pattern length for the m! non-overlap census.
 MAX_CENSUS_LENGTH = 11
-#: Largest pattern length for whole-S_m classification (m! histogram keys).
+#: Largest pattern length for whole-S_m classification (m! histogram keys),
+#: and for any sweep that reaches a text of length m (m!-sized tables).
 MAX_CLASSIFY_LENGTH = 7
 
 
@@ -174,13 +175,18 @@ def _sweep(m: int, n_max: int) -> Tuple[Dict[Pattern, Dict[int, int]], ...]:
     """Occurrence histograms of the length-m patterns over S_1, ..., S_n_max.
 
     Entry n-1 maps each pattern that occurs in S_n to its histogram; a
-    pattern missing there (every pattern when n < m) has {0: n!}.
+    pattern missing there (every pattern when n < m) has {0: n!}.  A sweep
+    with m > MAX_CLASSIFY_LENGTH and n_max >= m raises ResourceLimitError
+    before it builds any table.
     """
     if m == 1:  # every entry is an occurrence of the one pattern
         return tuple({(1,): {n: math.factorial(n)}} for n in range(1, n_max + 1))
     levels: List[Dict[Pattern, Dict[int, int]]] = [{} for _ in range(min(n_max, m - 1))]
     if n_max < m:
         return tuple(levels)
+    if m > MAX_CLASSIFY_LENGTH:
+        raise ResourceLimitError(
+            f"occurrence sweeps supported for m <= {MAX_CLASSIFY_LENGTH} once n_max >= m")
     pats = list(_permutations(range(1, m + 1)))
     index = {p: i for i, p in enumerate(pats)}
     tails = list(_permutations(range(1, m)))

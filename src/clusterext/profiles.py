@@ -21,14 +21,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence, Tuple
 
 from .asymptotics import log_beta
 from .errors import (DegenerateParameterError, DomainError,
                      InternalConsistencyError, InvalidInputError)
 from .posets import ClusterParams
+
+if TYPE_CHECKING:  # numpy is imported by the functions that use it
+    import numpy as np
 
 _CF_EPS = 1e-16
 _CF_TINY = 1e-300
@@ -218,6 +219,8 @@ def profile_table(m: int, a: int, b: int, grid_size: int = 1000) -> ProfileTable
     """Tabulate the limit profile and its slope on grid_size + 1 points."""
     if grid_size < 2:
         raise InvalidInputError("grid_size must be >= 2")
+    import numpy as np
+
     grid = np.linspace(0.0, 1.0, grid_size + 1)
     values = np.array([limit_profile(m, a, b, t) for t in grid])
     slopes = np.array([limit_profile_slope(m, a, b, t) for t in grid])
@@ -248,6 +251,8 @@ class VariationalProblem:
     exponent: float
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         w = np.asarray(self.weights, dtype=float)
         object.__setattr__(self, "weights", w)
         if w.ndim != 1 or len(w) < MIN_TABLE_POINTS:
@@ -269,6 +274,8 @@ def variational_profile(problem: VariationalProblem,
     inverse interpolation; accuracy therefore scales with the density of the
     supplied tabulation.
     """
+    import numpy as np
+
     w = problem.weights ** (1.0 / (problem.exponent + 1.0))
     x = np.linspace(0.0, 1.0, len(w))
     dx = x[1] - x[0]

@@ -26,13 +26,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from .errors import InvalidInputError, ResourceLimitError
 from .posets import ClusterParams, FinitePoset, cluster_poset, glue_labels
 from .profiles import limit_profile
+
+if TYPE_CHECKING:  # numpy is imported by the functions that use it
+    import numpy as np
 
 _CHUNK = 1 << 15
 
@@ -87,6 +88,8 @@ class ExtensionChain:
     """
 
     def __init__(self, poset: FinitePoset, seed: int, validate: bool = False):
+        import numpy as np
+
         self.poset = poset
         self.order: List[int] = list(poset.topological_order())
         self.position: List[int] = [0] * len(poset)
@@ -242,6 +245,8 @@ def height_profile(params: ClusterParams, samples: int,
                    thinning: Optional[int] = None,
                    seed: int = 0) -> HeightProfile:
     """Estimate the mean normalized height of each glue element by MCMC."""
+    import numpy as np
+
     size = params.p_size
     burnin, thinning = _budget(size, samples, burnin, thinning)
     poset = cluster_poset(params)

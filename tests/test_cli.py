@@ -1,7 +1,10 @@
 import io
 import json
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -99,6 +102,19 @@ def test_fit_points_subsample():
     assert status == 0
     assert 3 <= len(lines) - 1 <= 6
     assert lines[-1].startswith("20,")
+
+
+def test_fit_single_point_is_n_max():
+    status, out = run_cli("fit", "--m", "3", "--a", "1", "--b", "2",
+                          "--n-max", "20", "--points", "1", "--format", "json")
+    assert status == 0
+    assert [row["n"] for row in json.loads(out)] == [20]
+
+
+def test_fit_negative_points_exits_2():
+    status, out = run_cli("fit", "--m", "3", "--a", "1", "--b", "2",
+                          "--n-max", "20", "--points", "-3")
+    assert status == 2 and out == ""
 
 
 def test_compare_json():
@@ -204,6 +220,59 @@ def test_check_subcommand():
     assert status == 0
     assert "all checks passed" in out
     assert "FAIL" not in out
+
+
+# requests on the exact, integer-only paths, then the two that need numpy
+INTEGER_REQUESTS = [
+    ["count", "--m", "6", "--a", "2", "--b", "4", "--n", "12", "--format", "json"],
+    ["count", "--m", "4", "--a", "1", "--b", "3", "--n", "3", "--variant", "q",
+     "--method", "brute"],
+    ["constant", "--m", "8", "--a", "3", "--b", "5", "--format", "json"],
+    ["fit", "--m", "5", "--a", "2", "--b", "4", "--n-max", "12", "--points", "4"],
+    ["compare", "--m", "6", "--a", "1", "--b", "3", "--a2", "2", "--b2", "4",
+     "--n-max", "8", "--format", "json"],
+    ["classify", "--m", "4", "--n-max", "6", "--format", "json"],
+    ["check"],
+]
+NUMPY_REQUESTS = [
+    ["profile", "--m", "8", "--a", "3", "--b", "5", "--points", "50",
+     "--format", "json"],
+    ["sample", "--m", "4", "--a", "2", "--b", "3", "--n", "3", "--samples", "5",
+     "--burnin", "200", "--thinning", "20", "--seed", "7", "--format", "json"],
+]
+
+FRESH_PROCESS = """
+import io, json, sys
+from clusterext import cli
+
+def run(argv):
+    buf = io.StringIO()
+    return [cli.run(argv, out=buf), buf.getvalue()]
+
+integer, numeric = json.loads(sys.argv[1])
+report = {"integer": [run(argv) for argv in integer]}
+report["numpy_after_integer"] = "numpy" in sys.modules
+report["numeric"] = [run(argv) for argv in numeric]
+report["numpy_after_numeric"] = "numpy" in sys.modules
+print(json.dumps(report))
+"""
+
+
+def test_integer_commands_do_not_import_numpy():
+    paths = [str(Path(__file__).resolve().parents[1] / "src"),
+             os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    done = subprocess.run(
+        [sys.executable, "-c", FRESH_PROCESS,
+         json.dumps([INTEGER_REQUESTS, NUMPY_REQUESTS])],
+        capture_output=True, text=True, env=env, timeout=120, check=True)
+    report = json.loads(done.stdout)
+    assert not report["numpy_after_integer"]
+    assert report["numpy_after_numeric"]
+    for argv, (status, out) in zip(INTEGER_REQUESTS + NUMPY_REQUESTS,
+                                   report["integer"] + report["numeric"]):
+        assert status == 0, argv
+        assert out == run_cli(*argv)[1], argv
 
 
 def test_usage_errors_exit_2():

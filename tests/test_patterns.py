@@ -180,6 +180,23 @@ def test_evidence_classes_resource_guard():
         patterns.evidence_classes(8, 5)
 
 
+def _no_tables(*args):
+    raise AssertionError("the sweep built its S_m tables")
+
+
+def test_long_pattern_sweeps_are_refused_before_any_table(monkeypatch):
+    monkeypatch.setattr(patterns, "_permutations", _no_tables)
+    m = patterns.MAX_CLASSIFY_LENGTH + 1
+    p, q = tuple(range(1, m + 1)), tuple(range(m, 0, -1))
+    with pytest.raises(ResourceLimitError):
+        patterns.cwilf_evidence(p, q, m)
+    with pytest.raises(ResourceLimitError):
+        patterns.occurrence_histogram(p, patterns.MAX_TEXT_LENGTH)
+    # texts shorter than the pattern need no table and stay allowed
+    assert patterns.cwilf_evidence(p, q, m - 1)
+    assert patterns.occurrence_histogram(tuple(range(1, 13)), 5).counts == {0: 120}
+
+
 # (m, largest n) pairs checked against the per-length brute-force oracle
 ORACLE_CASES = [(m, 8) for m in range(1, 6)] + [(6, 7)]
 
