@@ -12,9 +12,9 @@ import math
 
 import numpy as np
 
-from clusterext import (VariationalProblem, limit_profile,
-                        limit_profile_slope, profile_csv, profile_table,
-                        slope_argmin, variational_profile, weight_cdf)
+from clusterext import (VariationalProblem, cli, limit_profile,
+                        limit_profile_slope, slope_argmin,
+                        variational_profile, weight_cdf)
 
 m, a, b = 8, 3, 5
 print(f"profile for (m, a, b) = ({m}, {a}, {b})")
@@ -57,6 +57,6 @@ print(f"  max |j - log(1+(e-1)t)| = "
       f"{np.max(np.abs(j - np.log1p((math.e - 1) * tt))):.2e}")
 print()
 
-table = profile_table(m, a, b, 10)
-print("CSV export of a coarse table (columns t, f, fprime):")
-print(profile_csv(table))
+print("CSV of a coarse table, as `clusterext profile --format csv` prints it:")
+cli.run(["profile", f"--m={m}", f"--a={a}", f"--b={b}", "--points=10",
+         "--format=csv"])

@@ -10,8 +10,7 @@ mean normalized heights of the glue elements land on the limit profile.
 import numpy as np
 
 from clusterext import (concentration_report, enumerate_linear_extensions,
-                        height_profile, height_profile_csv,
-                        sample_distribution)
+                        height_profile, sample_distribution)
 from clusterext.posets import ClusterParams, cluster_poset
 
 poset = cluster_poset(ClusterParams(3, 1, 2, 2))
@@ -38,4 +37,6 @@ print(f"  max |mean height - limit profile| = {report.max_deviation:.4f}")
 print(f"  mean deviation                    = {report.mean_deviation:.4f}")
 print()
 print("per-element table (CSV):")
-print(height_profile_csv(profile))
+print("i,mean_height,reference_f,abs_deviation")
+for i, mh, ref, dev in report.rows:
+    print(f"{i},{mh:.12g},{ref:.12g},{dev:.12g}")

@@ -3,7 +3,7 @@
 The package has six layers:
 
 * :mod:`clusterext.patterns` -- consecutive permutation patterns and
-  brute-force (strong) c-Wilf equivalence evidence;
+  (strong) c-Wilf equivalence evidence from one incremental sweep of S_n;
 * :mod:`clusterext.posets` -- the glued-chain posets, a general finite-poset
   value, and a brute-force extension counter (the oracle);
 * :mod:`clusterext.exact_counts` -- exact-rational iterated integration, the
@@ -40,14 +40,13 @@ from .posets import (ClusterParams, FinitePoset, cluster_poset,
                      count_linear_extensions_bruteforce, glue_labels,
                      modified_cluster_poset, poset_to_dot, sandwich_check)
 from .profiles import (ProfileTable, VariationalProblem, beta_value,
-                       limit_profile, limit_profile_slope, profile_csv,
+                       limit_profile, limit_profile_slope,
                        profile_increment_bounds, profile_table,
                        regularized_incomplete_beta, slope_argmin,
                        variational_profile, weight_cdf)
 from .sampling import (ConcentrationReport, ExtensionChain, HeightProfile,
                        concentration_report, default_burnin, default_thinning,
                        enumerate_linear_extensions, height_profile,
-                       height_profile_csv, sample_distribution,
-                       sample_linear_extension)
+                       sample_distribution, sample_linear_extension)
 
 __version__ = "0.1.0"

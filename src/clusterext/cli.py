@@ -10,6 +10,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from . import asymptotics, exact_counts, patterns, posets, profiles, sampling
@@ -22,8 +23,8 @@ RESOURCE_ERROR = 3
 CONSISTENCY_ERROR = 4
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
+def _fmt(x) -> str:
+    return f"{x:.12g}" if isinstance(x, float) else str(x)
 
 
 def _json_safe(x):
@@ -32,30 +33,51 @@ def _json_safe(x):
     return x
 
 
-def _emit_rows(fmt: str, header: Sequence[str], rows: Sequence[Sequence],
-               out) -> None:
+def _records(header: Sequence[str], rows: Sequence[Sequence]) -> List[dict]:
+    return [dict(zip(header, map(_json_safe, row))) for row in rows]
+
+
+@dataclass(frozen=True)
+class _Result:
+    """What one subcommand prints, in every output format.
+
+    ``document`` is the ``--format json`` value; ``header`` and ``rows`` are
+    the csv lines and the table grid.  In table format, ``text`` replaces
+    the grid when it is set, and ``footer`` is a line after the grid.
+    """
+
+    document: object
+    header: Sequence[str]
+    rows: Sequence[Sequence]
+    text: Optional[str] = None
+    footer: Optional[str] = None
+
+
+def _emit(fmt: str, result: _Result, out) -> None:
     if fmt == "json":
-        data = [dict(zip(header, (_json_safe(v) for v in row))) for row in rows]
-        out.write(json.dumps(data) + "\n")
+        out.write(json.dumps(result.document) + "\n")
         return
+    if fmt == "table" and result.text is not None:
+        out.write(result.text)
+        return
+    lines = [list(result.header)] + [[_fmt(v) for v in row] for row in result.rows]
     if fmt == "csv":
-        out.write(",".join(header) + "\n")
-        for row in rows:
-            out.write(",".join(_fmt(v) if isinstance(v, float) else str(v)
-                               for v in row) + "\n")
+        out.writelines(",".join(line) + "\n" for line in lines)
         return
-    widths = [max(len(h), *(len(_fmt(r[i]) if isinstance(r[i], float)
-                                else str(r[i])) for r in rows)) if rows else len(h)
-              for i, h in enumerate(header)]
-    out.write("  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip() + "\n")
-    for row in rows:
-        cells = [_fmt(v) if isinstance(v, float) else str(v) for v in row]
-        out.write("  ".join(c.ljust(w) for c, w in zip(cells, widths)).rstrip() + "\n")
+    widths = [max(map(len, column)) for column in zip(*lines)]
+    out.writelines("  ".join(c.ljust(w) for c, w in zip(line, widths)).rstrip()
+                   + "\n" for line in lines)
+    if result.footer is not None:
+        out.write(result.footer + "\n")
 
 
-def _polyline_svg(curve: List[Tuple[float, float]],
-                  points: Optional[List[Tuple[float, float]]] = None) -> str:
-    """Static SVG: one polyline for the curve, circles for sample points."""
+def _write_svg(path: str, curve: List[Tuple[float, float]],
+               points: Sequence[Tuple[float, float]] = ()) -> None:
+    """Static SVG: one polyline for the curve, circles for sample points.
+
+    Called before anything reaches stdout, so an unwritable path is a usage
+    error with no output.
+    """
     width = height = 480
     pad = 40
 
@@ -72,18 +94,22 @@ def _polyline_svg(curve: List[Tuple[float, float]],
     if curve:
         coords = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in curve)
         parts.append(f'<polyline points="{coords}" fill="none" stroke="blue"/>')
-    for x, y in points or []:
+    for x, y in points:
         parts.append(f'<circle cx="{sx(x):.2f}" cy="{sy(y):.2f}" r="3" '
                      f'fill="red"/>')
     parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(parts) + "\n")
+    except OSError as exc:
+        raise InvalidInputError(f"cannot write --svg file: {exc}") from exc
 
 
 def _cluster_params(args) -> posets.ClusterParams:
     return posets.ClusterParams(args.m, args.a, args.b, args.n)
 
 
-def _cmd_count(args, out) -> int:
+def _cmd_count(args) -> _Result:
     params = _cluster_params(args)
     if args.method == "brute":
         poset = (posets.cluster_poset(params) if args.variant == "p"
@@ -91,35 +117,20 @@ def _cmd_count(args, out) -> int:
         count = posets.count_linear_extensions_bruteforce(poset)
     else:
         count = exact_counts.exact_count(params, args.variant)
-    if args.format == "json":
-        out.write(json.dumps({"m": args.m, "a": args.a, "b": args.b,
-                              "n": args.n, "variant": args.variant,
-                              "method": args.method, "count": count}) + "\n")
-    elif args.format == "csv":
-        out.write("m,a,b,n,variant,method,count\n")
-        out.write(f"{args.m},{args.a},{args.b},{args.n},{args.variant},"
-                  f"{args.method},{count}\n")
-    else:
-        out.write(f"{count}\n")
-    return 0
+    header = ("m", "a", "b", "n", "variant", "method", "count")
+    row = (args.m, args.a, args.b, args.n, args.variant, args.method, count)
+    return _Result(dict(zip(header, row)), header, [row], text=f"{count}\n")
 
 
-def _cmd_constant(args, out) -> int:
+def _cmd_constant(args) -> _Result:
     const = asymptotics.growth_constant(args.m, args.a, args.b)
-    if args.format == "json":
-        out.write(json.dumps({"m": args.m, "a": args.a, "b": args.b,
-                              "leading": const.leading,
-                              "c": const.value}) + "\n")
-    elif args.format == "csv":
-        out.write("m,a,b,leading,c\n")
-        out.write(f"{args.m},{args.a},{args.b},{const.leading},"
-                  f"{_fmt(const.value)}\n")
-    else:
-        out.write(f"leading={const.leading} c={_fmt(const.value)}\n")
-    return 0
+    header = ("m", "a", "b", "leading", "c")
+    row = (args.m, args.a, args.b, const.leading, const.value)
+    return _Result(dict(zip(header, row)), header, [row],
+                   text=f"leading={const.leading} c={_fmt(const.value)}\n")
 
 
-def _cmd_fit(args, out) -> int:
+def _cmd_fit(args) -> _Result:
     if args.points < 0:
         raise InvalidInputError("--points must be >= 0 (0 keeps every n)")
     const = asymptotics.growth_constant(args.m, args.a, args.b)
@@ -137,108 +148,73 @@ def _cmd_fit(args, out) -> int:
         emp = ((asymptotics.log_integer(counts[n - 1])
                 - const.leading * n * math.log(n)) / n)
         rows.append((n, emp, const.value, abs(emp - const.value)))
-    _emit_rows(args.format, ["n", "empirical_c", "c", "abs_error"], rows, out)
-    return 0
+    header = ("n", "empirical_c", "c", "abs_error")
+    return _Result(_records(header, rows), header, rows)
 
 
-def _cmd_compare(args, out) -> int:
+def _cmd_compare(args) -> _Result:
     first, second, n0 = asymptotics.crossover_sweeps(
         args.m, args.a, args.b, args.a2, args.b2, args.n_max)
     rows = [(n, first[n - 1], second[n - 1], first[n - 1] < second[n - 1])
             for n in range(1, args.n_max + 1)]
-    if args.format == "json":
-        out.write(json.dumps({"n0": n0,
-                              "rows": [{"n": r[0], "count_1": r[1],
-                                        "count_2": r[2], "ordered": r[3]}
-                                       for r in rows]}) + "\n")
-    else:
-        _emit_rows(args.format, ["n", "count_1", "count_2", "ordered"], rows, out)
-        if args.format == "table":
-            out.write(f"n0={'none' if n0 is None else n0}\n")
-    return 0
+    header = ("n", "count_1", "count_2", "ordered")
+    return _Result({"n0": n0, "rows": _records(header, rows)}, header, rows,
+                   footer=f"n0={'none' if n0 is None else n0}")
 
 
-def _cmd_profile(args, out) -> int:
+def _cmd_profile(args) -> _Result:
     table = profiles.profile_table(args.m, args.a, args.b, args.points)
-    if args.format == "json":
-        out.write(json.dumps({
-            "m": args.m, "a": args.a, "b": args.b,
-            "lambda": table.slope_minimum,
-            "t": [float(v) for v in table.grid],
-            "f": [float(v) for v in table.values],
-            "fprime": [_json_safe(float(v)) for v in table.slopes]}) + "\n")
-    elif args.format == "csv":
-        out.write(profiles.profile_csv(table))
-    else:
-        rows = [(float(t), float(f), float(fp))
-                for t, f, fp in zip(table.grid, table.values, table.slopes)]
-        _emit_rows("table", ["t", "f", "fprime"], rows, out)
-        out.write(f"lambda={_fmt(table.slope_minimum)}\n")
+    t, f, fprime = table.grid.tolist(), table.values.tolist(), table.slopes.tolist()
     if args.svg:
-        curve = [(float(t), float(f))
-                 for t, f in zip(table.grid, table.values)]
-        with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(_polyline_svg(curve))
-    return 0
+        _write_svg(args.svg, list(zip(t, f)))
+    return _Result({"m": args.m, "a": args.a, "b": args.b,
+                    "lambda": table.slope_minimum, "t": t, "f": f,
+                    "fprime": [_json_safe(v) for v in fprime]},
+                   ("t", "f", "fprime"), list(zip(t, f, fprime)),
+                   footer=f"lambda={_fmt(table.slope_minimum)}")
 
 
-def _cmd_sample(args, out) -> int:
+def _cmd_sample(args) -> _Result:
     params = _cluster_params(args)
     profile = sampling.height_profile(params, args.samples,
                                       burnin=args.burnin,
                                       thinning=args.thinning, seed=args.seed)
     report = sampling.concentration_report(profile)
-    if args.format == "json":
-        out.write(json.dumps({
-            "m": args.m, "a": args.a, "b": args.b, "n": args.n,
-            "samples": profile.samples, "burnin": profile.burnin,
-            "thinning": profile.thinning, "seed": profile.seed,
-            "max_deviation": report.max_deviation,
-            "mean_deviation": report.mean_deviation,
-            "rows": [{"i": i, "mean_height": mh, "reference_f": ref,
-                      "abs_deviation": dev}
-                     for i, mh, ref, dev in report.rows]}) + "\n")
-    elif args.format == "csv":
-        out.write(sampling.height_profile_csv(profile))
-    else:
-        _emit_rows("table", ["i", "mean_height", "reference_f", "abs_deviation"],
-                   list(report.rows), out)
-        out.write(f"max_deviation={_fmt(report.max_deviation)} "
-                  f"mean_deviation={_fmt(report.mean_deviation)}\n")
     if args.svg:
         dense = [k / 200 for k in range(201)]
         curve = [(t, profiles.limit_profile(args.m, args.a, args.b, t))
                  for t in dense]
         pts = [((i + 1) / (args.n + 2), mh) for i, mh, _, _ in report.rows]
-        with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(_polyline_svg(curve, pts))
-    return 0
+        _write_svg(args.svg, curve, pts)
+    header = ("i", "mean_height", "reference_f", "abs_deviation")
+    return _Result({"m": args.m, "a": args.a, "b": args.b, "n": args.n,
+                    "samples": profile.samples, "burnin": profile.burnin,
+                    "thinning": profile.thinning, "seed": profile.seed,
+                    "max_deviation": report.max_deviation,
+                    "mean_deviation": report.mean_deviation,
+                    "rows": _records(header, report.rows)},
+                   header, report.rows,
+                   footer=f"max_deviation={_fmt(report.max_deviation)} "
+                          f"mean_deviation={_fmt(report.mean_deviation)}")
 
 
-def _cmd_classify(args, out) -> int:
-    classes = patterns.evidence_classes(args.m, args.n_max,
-                                        strong=not args.weak)
+def _cmd_classify(args) -> _Result:
+    classes = [["".join(map(str, p)) for p in cls]
+               for cls in patterns.evidence_classes(args.m, args.n_max,
+                                                    strong=not args.weak)]
     kind = "weak" if args.weak else "strong"
-    if args.format == "json":
-        out.write(json.dumps({
-            "m": args.m, "n_max": args.n_max, "evidence": kind,
-            "classes": [["".join(map(str, p)) for p in cls]
-                        for cls in classes]}) + "\n")
-    elif args.format == "csv":
-        out.write("class,pattern\n")
-        for ci, cls in enumerate(classes, start=1):
-            for p in cls:
-                out.write(f"{ci},{''.join(map(str, p))}\n")
-    else:
-        out.write(f"{kind} evidence up to n={args.n_max} "
-                  f"({len(classes)} classes)\n")
-        for ci, cls in enumerate(classes, start=1):
-            out.write(f"class {ci}: "
-                      + " ".join("".join(map(str, p)) for p in cls) + "\n")
-    return 0
+    text = "".join([f"{kind} evidence up to n={args.n_max} "
+                    f"({len(classes)} classes)\n"]
+                   + [f"class {ci}: {' '.join(cls)}\n"
+                      for ci, cls in enumerate(classes, start=1)])
+    return _Result({"m": args.m, "n_max": args.n_max, "evidence": kind,
+                    "classes": classes},
+                   ("class", "pattern"),
+                   [(ci, p) for ci, cls in enumerate(classes, start=1) for p in cls],
+                   text=text)
 
 
-def _cmd_check(args, out) -> int:
+def _cmd_check(out) -> int:
     failures = 0
 
     def report(name: str, ok: bool) -> None:
@@ -373,8 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(p)
     p.set_defaults(func=_cmd_classify)
 
-    p = sub.add_parser("check", help="run the quick invariant suite")
-    p.set_defaults(func=_cmd_check)
+    sub.add_parser("check", help="run the quick invariant suite")
 
     return parser
 
@@ -390,7 +365,10 @@ def run(argv: Optional[Sequence[str]] = None, out=None) -> int:
     max_digits = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        return args.func(args, out)
+        if args.command == "check":
+            return _cmd_check(out)
+        _emit(args.format, args.func(args), out)
+        return 0
     except (InvalidInputError, DomainError, DegenerateParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

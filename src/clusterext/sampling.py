@@ -285,12 +285,3 @@ def concentration_report(profile: HeightProfile) -> ConcentrationReport:
     deviations = [r[3] for r in rows]
     return ConcentrationReport(profile.params, tuple(rows),
                                max(deviations), sum(deviations) / len(deviations))
-
-
-def height_profile_csv(profile: HeightProfile) -> str:
-    """CSV export with columns i, mean_height, reference_f, abs_deviation."""
-    report = concentration_report(profile)
-    lines = ["i,mean_height,reference_f,abs_deviation"]
-    for i, mh, ref, dev in report.rows:
-        lines.append(f"{i},{mh:.12g},{ref:.12g},{dev:.12g}")
-    return "\n".join(lines) + "\n"

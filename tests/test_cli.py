@@ -158,6 +158,16 @@ def test_profile_csv_and_svg(tmp_path):
     assert len(lines) == 22
     text = svg_path.read_text()
     assert text.startswith("<svg") and "polyline" in text
+    # (3,1,2) has the closed form f(t) = 1 - sqrt(1 - t)
+    status, out = run_cli("profile", "--m", "3", "--a", "1", "--b", "2",
+                          "--points", "4", "--format", "csv")
+    assert status == 0
+    lines = out.strip().split("\n")
+    assert lines[0] == "t,f,fprime"
+    assert len(lines) == 6
+    row = lines[3].split(",")
+    assert float(row[0]) == pytest.approx(0.5)
+    assert float(row[1]) == pytest.approx(1 - math.sqrt(0.5), abs=1e-10)
 
 
 def test_profile_json_handles_infinities():
@@ -179,8 +189,34 @@ def test_sample_csv_and_svg(tmp_path):
     assert status == 0 and out1 == out2  # deterministic given seed
     lines = out1.strip().split("\n")
     assert lines[0] == "i,mean_height,reference_f,abs_deviation"
-    assert len(lines) == 6
+    assert len(lines) == 4 + 2  # header and n + 1 glue elements
+    rows = [line.split(",") for line in lines[1:]]
+    assert [int(row[0]) for row in rows] == list(range(5))
+    for _, mh, ref, dev in rows:
+        assert abs(float(mh) - float(ref)) == pytest.approx(float(dev), abs=1e-12)
     assert svg_path.read_text().count("circle") == 5
+
+
+@pytest.mark.parametrize("request_argv", [
+    ["profile", "--m", "8", "--a", "3", "--b", "5", "--points", "20"],
+    ["sample", "--m", "3", "--a", "1", "--b", "2", "--n", "2", "--samples", "3",
+     "--burnin", "100", "--thinning", "10"],
+], ids=lambda argv: argv[0])
+def test_unwritable_svg_exits_2_before_any_output(tmp_path, request_argv):
+    missing = tmp_path / "no-such-dir" / "plot.svg"
+    status, out = run_cli(*request_argv, "--svg", str(missing))
+    assert status == 2 and out == ""
+    assert not missing.parent.exists()
+
+
+def test_profile_points_over_cap_exits_3(monkeypatch):
+    def fail(*args):
+        raise AssertionError("a profile point was evaluated")
+
+    monkeypatch.setattr(profiles, "limit_profile", fail)
+    status, out = run_cli("profile", "--m", "8", "--a", "3", "--b", "5",
+                          "--points", str(profiles.MAX_PROFILE_POINTS + 1))
+    assert status == 3 and out == ""
 
 
 def test_classify_table():

@@ -7,10 +7,11 @@ from scipy.special import betainc
 
 from clusterext import profiles
 from clusterext.errors import (DegenerateParameterError, DomainError,
-                               InternalConsistencyError, InvalidInputError)
+                               InternalConsistencyError, InvalidInputError,
+                               ResourceLimitError)
 from clusterext.profiles import (ProfileTable, VariationalProblem, beta_value,
                                  limit_profile, limit_profile_slope,
-                                 profile_csv, profile_increment_bounds,
+                                 profile_increment_bounds,
                                  profile_table, regularized_incomplete_beta,
                                  slope_argmin, variational_profile, weight_cdf)
 
@@ -152,15 +153,14 @@ def test_profile_table_argmin_near_minimum_all_params():
         assert abs(table.grid[k] - table.slope_minimum) <= cell + 1e-12, (m, a, b)
 
 
-def test_profile_csv_export():
-    table = profile_table(3, 1, 2, 4)
-    text = profile_csv(table)
-    lines = text.strip().split("\n")
-    assert lines[0] == "t,f,fprime"
-    assert len(lines) == 6
-    row = lines[3].split(",")
-    assert float(row[0]) == pytest.approx(0.5)
-    assert float(row[1]) == pytest.approx(1 - math.sqrt(0.5), abs=1e-10)
+def test_profile_grid_over_cap_is_refused_before_any_point(monkeypatch):
+    def fail(*args):
+        raise AssertionError("a profile point was evaluated")
+
+    monkeypatch.setattr(profiles, "limit_profile", fail)
+    # just past the cap: without it, the first point fails, and nothing large runs
+    with pytest.raises(ResourceLimitError):
+        profile_table(8, 3, 5, profiles.MAX_PROFILE_POINTS + 1)
 
 
 def test_variational_constant_weight_is_identity():

@@ -9,8 +9,7 @@ from clusterext.posets import ClusterParams, FinitePoset, cluster_poset
 from clusterext.sampling import (ExtensionChain, concentration_report,
                                  default_burnin, default_thinning,
                                  enumerate_linear_extensions, height_profile,
-                                 height_profile_csv, sample_distribution,
-                                 sample_linear_extension)
+                                 sample_distribution, sample_linear_extension)
 
 
 def chain_poset(k):
@@ -196,18 +195,6 @@ def test_height_profile_validation():
         height_profile(params, samples=1, burnin=-1)
     with pytest.raises(InvalidInputError):
         height_profile(params, samples=1, thinning=0)
-
-
-def test_height_profile_csv():
-    params = ClusterParams(3, 1, 2, 2)
-    profile = height_profile(params, samples=3, burnin=100, thinning=10, seed=4)
-    text = height_profile_csv(profile)
-    lines = text.strip().split("\n")
-    assert lines[0] == "i,mean_height,reference_f,abs_deviation"
-    assert len(lines) == params.n + 2
-    i, mh, ref, dev = lines[1].split(",")
-    assert int(i) == 0
-    assert abs(float(mh) - float(ref)) == pytest.approx(float(dev), abs=1e-12)
 
 
 def test_default_budgets():
