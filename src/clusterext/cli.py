@@ -10,8 +10,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from . import asymptotics, exact_counts, patterns, posets, profiles, sampling
 from .errors import (DegenerateParameterError, DomainError,
@@ -37,8 +36,7 @@ def _records(header: Sequence[str], rows: Sequence[Sequence]) -> List[dict]:
     return [dict(zip(header, map(_json_safe, row))) for row in rows]
 
 
-@dataclass(frozen=True)
-class _Result:
+class _Result(NamedTuple):
     """What one subcommand prints, in every output format.
 
     ``document`` is the ``--format json`` value; ``header`` and ``rows`` are

@@ -229,8 +229,8 @@ def profile_table(m: int, a: int, b: int, grid_size: int = 1000) -> ProfileTable
     if grid_size < 2:
         raise InvalidInputError("grid_size must be >= 2")
     if grid_size > MAX_PROFILE_POINTS:
-        raise ResourceLimitError(
-            f"grid_size {grid_size} exceeds the cap of {MAX_PROFILE_POINTS} points")
+        raise ResourceLimitError(f"grid_size {grid_size} exceeds the cap of "
+                                 f"{MAX_PROFILE_POINTS} points")
     import numpy as np
 
     grid = np.linspace(0.0, 1.0, grid_size + 1)

@@ -209,16 +209,6 @@ def test_unwritable_svg_exits_2_before_any_output(tmp_path, request_argv):
     assert not missing.parent.exists()
 
 
-def test_profile_points_over_cap_exits_3(monkeypatch):
-    def fail(*args):
-        raise AssertionError("a profile point was evaluated")
-
-    monkeypatch.setattr(profiles, "limit_profile", fail)
-    status, out = run_cli("profile", "--m", "8", "--a", "3", "--b", "5",
-                          "--points", str(profiles.MAX_PROFILE_POINTS + 1))
-    assert status == 3 and out == ""
-
-
 def test_classify_table():
     status, out = run_cli("classify", "--m", "3", "--n-max", "6")
     assert status == 0
@@ -319,13 +309,22 @@ def test_usage_errors_exit_2():
                    "--method", "bogus")[0] == 2
 
 
-def test_resource_errors_exit_3():
+def test_resource_errors_exit_3(monkeypatch):
     status, _ = run_cli("count", "--m", "3", "--a", "1", "--b", "2",
                         "--n", "50", "--method", "brute")
     assert status == 3
     # about 3e12 chain steps with the default burn-in
     status, out = run_cli("sample", "--m", "8", "--a", "3", "--b", "5",
                           "--n", "1000")
+    assert status == 3 and out == ""
+
+    def fail(*args):
+        raise AssertionError("a profile point was evaluated")
+
+    # just past the grid cap, refused before the first point
+    monkeypatch.setattr(profiles, "limit_profile", fail)
+    status, out = run_cli("profile", "--m", "8", "--a", "3", "--b", "5",
+                          "--points", str(profiles.MAX_PROFILE_POINTS + 1))
     assert status == 3 and out == ""
 
 
