@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -63,6 +64,23 @@ def test_cluster_poset_covers_literal():
 def test_cluster_poset_cardinality():
     poset = cluster_poset(ClusterParams(8, 3, 5, 3))
     assert len(poset) == 22
+
+
+#: SHA-256 of repr((labels, covers)) over both variants, 2 <= m <= 8,
+#: 1 <= a < b <= m and 1 <= n <= 4, in that loop order.
+POSET_DIGEST = "e9ff1cd44c9d1f611e89f6bebf7c013fb4a57a5c6dd9e4b0a3eff903627d2d67"
+
+
+def test_poset_labels_and_covers_are_pinned():
+    h = hashlib.sha256()
+    for build in (cluster_poset, modified_cluster_poset):
+        for m in range(2, 9):
+            for a in range(1, m):
+                for b in range(a + 1, m + 1):
+                    for n in range(1, 5):
+                        p = build(ClusterParams(m, a, b, n))
+                        h.update(repr((p.labels, p.covers)).encode())
+    assert h.hexdigest() == POSET_DIGEST
 
 
 def test_modified_poset_examples():
