@@ -5,9 +5,10 @@ The package has six layers:
 * :mod:`clusterext.patterns` -- consecutive permutation patterns and
   (strong) c-Wilf equivalence evidence from one incremental sweep of S_n;
 * :mod:`clusterext.posets` -- the glued-chain posets, a general finite-poset
-  value, and a brute-force extension counter (the oracle);
+  value, and a brute-force extension counter (the oracle); it depends on no
+  other layer;
 * :mod:`clusterext.exact_counts` -- exact-rational iterated integration, the
-  scalable counting route;
+  scalable counting route, and the sandwich check between the two variants;
 * :mod:`clusterext.asymptotics` -- the growth constant, its concavity in the
   glue position, and empirical fits against exact counts;
 * :mod:`clusterext.profiles` -- the limiting height profile and the general
@@ -31,14 +32,14 @@ from .errors import (DegenerateParameterError, DomainError,
                      InternalConsistencyError, InvalidInputError,
                      ResourceLimitError)
 from .exact_counts import (exact_count, exact_count_sweep, iter_exact_counts,
-                           iterated_integral)
+                           iterated_integral, sandwich_check)
 from .patterns import (OccurrenceHistogram, complement, cwilf_evidence,
                        evidence_classes, is_nonoverlapping, is_standard,
                        nonoverlapping_fraction, occurrence_histogram,
                        occurrences, reverse, standardize, symmetry_class)
 from .posets import (ClusterParams, FinitePoset, cluster_poset,
                      count_linear_extensions_bruteforce, glue_labels,
-                     modified_cluster_poset, poset_to_dot, sandwich_check)
+                     modified_cluster_poset, poset_to_dot)
 from .profiles import (ProfileTable, VariationalProblem, beta_value,
                        limit_profile, limit_profile_slope,
                        profile_increment_bounds, profile_table,
@@ -46,7 +47,7 @@ from .profiles import (ProfileTable, VariationalProblem, beta_value,
                        variational_profile, weight_cdf)
 from .sampling import (ConcentrationReport, ExtensionChain, HeightProfile,
                        concentration_report, default_burnin, default_thinning,
-                       enumerate_linear_extensions, height_profile,
-                       sample_distribution, sample_linear_extension)
+                       height_profile, sample_distribution,
+                       sample_linear_extension)
 
 __version__ = "0.1.0"

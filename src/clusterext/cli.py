@@ -7,6 +7,7 @@ consistency failure.  Output formats: human table (default), csv, json.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -231,7 +232,7 @@ def _cmd_check(out) -> int:
         report(f"exact counts match brute force for (m,a,b,n)=({m},{a},{b},{n})", ok)
 
     report("padded-count sandwich holds for m<=4, n<=3",
-           all(posets.sandwich_check(posets.ClusterParams(m, a, b, n))
+           all(exact_counts.sandwich_check(posets.ClusterParams(m, a, b, n))
                for m in range(2, 5) for a in range(1, m)
                for b in range(a + 1, m + 1) for n in range(1, 4)))
 
@@ -264,6 +265,7 @@ def _cmd_check(out) -> int:
     return 0 if failures == 0 else CONSISTENCY_ERROR
 
 
+@functools.cache  # parse_args leaves the parser unchanged; build it once per process
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="clusterext",

@@ -17,7 +17,8 @@ scales c_k by (k+s)!/k!, and multiplying by (1-x) is the one-term update
 c'_k = c_k - k c_{k-1}, so every coefficient stays an integer.  One
 generator runs the integration for every public entry point, and a count is
 finalised only for the n a caller keeps.  The slow rational-polynomial route
-lives in the tests as an oracle for this one.
+lives in the tests as an oracle for this one.  :func:`sandwich_check`
+compares the plain and padded counts: e(P) <= e(Q) <= |Q|^(m-b+a-1) e(P).
 """
 
 from __future__ import annotations
@@ -168,6 +169,7 @@ def exact_count_sweep(m: int, a: int, b: int, n_max: int,
     """Exact counts for n = 1..n_max, sharing the integration state."""
     if n_max < 1:
         raise InvalidInputError("n_max must be >= 1")
+    ClusterParams(m, a, b, 1)  # validate (m, a, b) before the degree budget
     v = _normalize_variant(variant)
     _check_budget(_degree(m, a, b, n_max, v))
     it = iter_exact_counts(m, a, b, v)
@@ -189,3 +191,11 @@ def iterated_integral(params: ClusterParams, variant: str = "p") -> Fraction:
     # the x^k/k! basis absorbed one 1/(b-a-1)! per kernel pass; restore it
     value = Fraction(_tail_sum(lo, c), math.factorial(lo + len(c)))
     return value * math.factorial(b - a - 1) ** n
+
+
+def sandwich_check(params: ClusterParams) -> bool:
+    """Exact-integer check that the padded count sits between the plain count
+    and |Q|^(m-b+a-1) times it."""
+    e_p = exact_count(params, "p")
+    e_q = exact_count(params, "q")
+    return e_p <= e_q <= params.q_size ** params.leading * e_p

@@ -3,10 +3,13 @@
 The family studied here glues n chains of length m so that the b-th element
 of each chain is the a-th element of the next.  A modified variant pads the
 first and last chain with short boundary chains so that every glue element
-carries the same weight profile.  Both are ordinary finite posets; the
-brute-force counter below works for any poset of at most 24 elements and is
-the independent oracle for the integral-based counts in
-:mod:`clusterext.exact_counts`.
+carries the same weight profile.  One builder appends the chains in order
+and wires each glue element by index, for both variants.  Both are ordinary
+finite posets; the brute-force counter below works for any poset of at most
+24 elements and is the independent oracle for the integral-based counts in
+:mod:`clusterext.exact_counts`, which also holds the check that compares
+them.  This module is the bottom layer: it imports nothing else from the
+package but its exceptions.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .errors import InvalidInputError, ResourceLimitError
+from .errors import InternalConsistencyError, InvalidInputError, ResourceLimitError
 
 #: Cap for the order-ideal dynamic program (bitmask-indexed).
 MAX_BRUTEFORCE_ELEMENTS = 24
@@ -146,13 +149,39 @@ class FinitePoset:
         return rows
 
 
-def _canonical_key(i: int, j: int, a: int, b: int) -> Tuple[int, int]:
-    # the shared element of chains i-1 and i keeps the lower chain's label (i-1, b)
-    return (i - 1, b) if (j == a and i > 1) else (i, j)
+def _glued_chains(params: ClusterParams, padded: bool) -> FinitePoset:
+    """Chains 1..n of length m, the a-th element of chain i+1 being the b-th of
+    chain i; ``padded`` adds chain 0 (positions b..m, its b-th element the
+    a-th of chain 1) and chain n+1 (positions 1..a, its a-th element the b-th
+    of chain n).  Elements are numbered in the order the chains are listed.
+    """
+    m, a, b, n = params.m, params.a, params.b, params.n
+    labels: List[str] = []
+    covers: List[Tuple[int, int]] = []
 
+    def chain(i: int, first: int, last: int, glue_at: int = 0,
+              glue: int = -1) -> List[int]:
+        # A(i,first..last); position glue_at is the existing element glue
+        idx = []
+        for j in range(first, last + 1):
+            if j == glue_at:
+                idx.append(glue)
+            else:
+                idx.append(len(labels))
+                labels.append(f"A({i},{j})")
+        covers.extend(zip(idx, idx[1:]))
+        return idx
 
-def _label(key: Tuple[int, int]) -> str:
-    return f"A({key[0]},{key[1]})"
+    first = last = chain(1, 1, m)
+    for i in range(2, n + 1):
+        last = chain(i, 1, m, a, last[b - 1])
+    if padded:
+        chain(0, b, m, b, first[a - 1])
+        chain(n + 1, 1, a, a, last[b - 1])
+    poset = FinitePoset(labels, covers)
+    if len(poset) != (params.q_size if padded else params.p_size):
+        raise InternalConsistencyError(f"glued-chain poset has {len(poset)} elements")
+    return poset
 
 
 def cluster_poset(params: ClusterParams) -> FinitePoset:
@@ -161,63 +190,20 @@ def cluster_poset(params: ClusterParams) -> FinitePoset:
     Elements are A(i,j) for 1 <= i <= n, 1 <= j <= m with A(i,b) = A(i+1,a);
     relations are generated by A(i,1) <= ... <= A(i,m).  Size (m-1)n + 1.
     """
-    m, a, b, n = params.m, params.a, params.b, params.n
-    index: Dict[Tuple[int, int], int] = {}
-    labels: List[str] = []
-    for i in range(1, n + 1):
-        for j in range(1, m + 1):
-            key = _canonical_key(i, j, a, b)
-            if key not in index:
-                index[key] = len(labels)
-                labels.append(_label(key))
-    covers = []
-    for i in range(1, n + 1):
-        for j in range(1, m):
-            covers.append((index[_canonical_key(i, j, a, b)],
-                           index[_canonical_key(i, j + 1, a, b)]))
-    poset = FinitePoset(labels, covers)
-    if len(poset) != params.p_size:
-        raise InvalidInputError("internal size mismatch in cluster_poset")
-    return poset
+    return _glued_chains(params, padded=False)
 
 
 def modified_cluster_poset(params: ClusterParams) -> FinitePoset:
     """The padded variant: adds a chain A(0,b+1..m) above the first glue element
     and a chain A(n+1,1..a-1) below the last one.  Size (m-1)n + m - b + a.
     """
-    m, a, b, n = params.m, params.a, params.b, params.n
-    base = cluster_poset(params)
-    labels = list(base.labels)
-    covers = list(base.covers)
-    index = {lab: i for i, lab in enumerate(labels)}
-
-    prev = index[_label((1, a))]
-    for j in range(b + 1, m + 1):
-        index[_label((0, j))] = len(labels)
-        labels.append(_label((0, j)))
-        covers.append((prev, index[_label((0, j))]))
-        prev = index[_label((0, j))]
-
-    below = []
-    for j in range(1, a):
-        index[_label((n + 1, j))] = len(labels)
-        labels.append(_label((n + 1, j)))
-        below.append(index[_label((n + 1, j))])
-    for x, y in zip(below, below[1:]):
-        covers.append((x, y))
-    if below:
-        covers.append((below[-1], index[_label((n, b))]))
-
-    poset = FinitePoset(labels, covers)
-    if len(poset) != params.q_size:
-        raise InvalidInputError("internal size mismatch in modified_cluster_poset")
-    return poset
+    return _glued_chains(params, padded=True)
 
 
 def glue_labels(params: ClusterParams) -> List[str]:
     """Labels of the glue elements X_0..X_n (X_0 = A(1,a), X_i = A(i,b) for i >= 1)."""
-    return [_label((1, params.a))] + [_label((i, params.b))
-                                      for i in range(1, params.n + 1)]
+    return [f"A(1,{params.a})"] + [f"A({i},{params.b})"
+                                   for i in range(1, params.n + 1)]
 
 
 def count_linear_extensions_bruteforce(poset: FinitePoset) -> int:
@@ -251,16 +237,6 @@ def count_linear_extensions_bruteforce(poset: FinitePoset) -> int:
         return total
 
     return count((1 << n) - 1)
-
-
-def sandwich_check(params: ClusterParams) -> bool:
-    """Exact-integer check that the padded count sits between the plain count
-    and |Q|^(m-b+a-1) times it."""
-    from . import exact_counts  # deferred: exact_counts imports ClusterParams
-
-    e_p = exact_counts.exact_count(params, "p")
-    e_q = exact_counts.exact_count(params, "q")
-    return e_p <= e_q <= params.q_size ** params.leading * e_p
 
 
 def poset_to_dot(poset: FinitePoset, name: str = "poset") -> str:

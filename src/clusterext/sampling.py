@@ -169,45 +169,6 @@ def sample_linear_extension(poset: FinitePoset, steps: int,
     return chain.state()
 
 
-def enumerate_linear_extensions(poset: FinitePoset,
-                                limit: Optional[int] = None) -> List[Tuple[int, ...]]:
-    """All linear extensions by backtracking; optional cap on the count."""
-    n = len(poset)
-    indeg = [0] * n
-    children: List[List[int]] = [[] for _ in range(n)]
-    for x, y in poset.covers:
-        indeg[y] += 1
-        children[x].append(y)
-    out: List[Tuple[int, ...]] = []
-    prefix: List[int] = []
-    available = sorted(i for i in range(n) if indeg[i] == 0)
-
-    def backtrack(avail: List[int]) -> bool:
-        if limit is not None and len(out) >= limit:
-            return False
-        if len(prefix) == n:
-            out.append(tuple(prefix))
-            return limit is None or len(out) < limit
-        for x in list(avail):
-            nxt = [y for y in avail if y != x]
-            opened = []
-            for y in children[x]:
-                indeg[y] -= 1
-                if indeg[y] == 0:
-                    opened.append(y)
-            prefix.append(x)
-            keep_going = backtrack(sorted(nxt + opened))
-            prefix.pop()
-            for y in children[x]:
-                indeg[y] += 1
-            if not keep_going:
-                return False
-        return True
-
-    backtrack(available)
-    return out
-
-
 def sample_distribution(poset: FinitePoset, num_samples: int, thinning: int,
                         burnin: int, seed: int) -> Dict[Tuple[int, ...], int]:
     """Empirical distribution over extensions from one thinned chain."""

@@ -13,10 +13,11 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations as _permutations
-from typing import Dict, Iterable, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from clusterext.errors import InvalidInputError, ResourceLimitError
 from clusterext.patterns import MAX_TEXT_LENGTH, Pattern
+from clusterext.posets import FinitePoset
 
 
 class RationalPoly:
@@ -122,3 +123,42 @@ def _histograms_for_length(m: int, n: int) -> Dict[Pattern, Dict[int, int]]:
             k = seen.get(p, 0)
             d[k] = d.get(k, 0) + 1
     return hist
+
+
+def enumerate_linear_extensions(poset: FinitePoset,
+                                limit: Optional[int] = None) -> List[Tuple[int, ...]]:
+    """All linear extensions by backtracking; optional cap on the count."""
+    n = len(poset)
+    indeg = [0] * n
+    children: List[List[int]] = [[] for _ in range(n)]
+    for x, y in poset.covers:
+        indeg[y] += 1
+        children[x].append(y)
+    out: List[Tuple[int, ...]] = []
+    prefix: List[int] = []
+    available = sorted(i for i in range(n) if indeg[i] == 0)
+
+    def backtrack(avail: List[int]) -> bool:
+        if limit is not None and len(out) >= limit:
+            return False
+        if len(prefix) == n:
+            out.append(tuple(prefix))
+            return limit is None or len(out) < limit
+        for x in list(avail):
+            nxt = [y for y in avail if y != x]
+            opened = []
+            for y in children[x]:
+                indeg[y] -= 1
+                if indeg[y] == 0:
+                    opened.append(y)
+            prefix.append(x)
+            keep_going = backtrack(sorted(nxt + opened))
+            prefix.pop()
+            for y in children[x]:
+                indeg[y] += 1
+            if not keep_going:
+                return False
+        return True
+
+    backtrack(available)
+    return out

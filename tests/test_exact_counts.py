@@ -214,6 +214,15 @@ def test_degree_budget_raises_upfront():
         iterated_integral(ClusterParams(8, 3, 5, 10_000), "q")
 
 
+def test_sweep_validates_shape_before_budget():
+    from clusterext.errors import ResourceLimitError
+
+    with pytest.raises(InvalidInputError):
+        exact_count_sweep(5, 5, 3, 10 ** 6)  # a >= b: a broken shape, not a budget
+    with pytest.raises(ResourceLimitError):
+        exact_count_sweep(5, 3, 5, 10 ** 6)
+
+
 def test_large_case_budget_and_symmetry():
     # degree ~ 707 at (8,3,5,100); must run well within a few minutes
     counts = exact_count_sweep(8, 3, 5, 100, "p")

@@ -96,8 +96,9 @@ def test_nonoverlapping_fraction_small():
 
 
 def test_nonoverlapping_fraction_range_errors():
-    with pytest.raises(ResourceLimitError):
-        patterns.nonoverlapping_fraction(1)
+    for m in (1, 0, -3):  # a broken precondition, not a budget
+        with pytest.raises(InvalidInputError):
+            patterns.nonoverlapping_fraction(m)
     with pytest.raises(ResourceLimitError):
         patterns.nonoverlapping_fraction(12)
 

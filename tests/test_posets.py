@@ -1,13 +1,17 @@
+import ast
 import hashlib
 import math
+from pathlib import Path
 
 import pytest
 
-from clusterext.errors import InvalidInputError, ResourceLimitError
+from clusterext import posets
+from clusterext.errors import (InternalConsistencyError, InvalidInputError,
+                               ResourceLimitError)
+from clusterext.exact_counts import sandwich_check
 from clusterext.posets import (ClusterParams, FinitePoset, cluster_poset,
                                count_linear_extensions_bruteforce, glue_labels,
-                               modified_cluster_poset, poset_to_dot,
-                               sandwich_check)
+                               modified_cluster_poset, poset_to_dot)
 
 
 def chain(k):
@@ -81,6 +85,32 @@ def test_poset_labels_and_covers_are_pinned():
                         p = build(ClusterParams(m, a, b, n))
                         h.update(repr((p.labels, p.covers)).encode())
     assert h.hexdigest() == POSET_DIGEST
+
+
+def test_modified_poset_builds_one_finite_poset(monkeypatch):
+    built = []
+
+    class Counted(FinitePoset):
+        def __init__(self, labels, covers):
+            built.append(len(labels))
+            super().__init__(labels, covers)
+
+    monkeypatch.setattr(posets, "FinitePoset", Counted)
+    modified_cluster_poset(ClusterParams(8, 3, 5, 2))
+    assert built == [20]
+
+
+def test_poset_size_mismatch_is_internal(monkeypatch):
+    monkeypatch.setattr(ClusterParams, "q_size", property(lambda self: 0))
+    with pytest.raises(InternalConsistencyError):
+        modified_cluster_poset(ClusterParams(8, 3, 5, 2))
+
+
+def test_posets_imports_only_errors():
+    tree = ast.parse(Path(posets.__file__).read_text(encoding="utf-8"))
+    relative = {node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level > 0}
+    assert relative == {"errors"}
 
 
 def test_modified_poset_examples():

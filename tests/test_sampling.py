@@ -5,11 +5,13 @@ from hypothesis import strategies as st
 
 from clusterext import sampling
 from clusterext.errors import InvalidInputError, ResourceLimitError
-from clusterext.posets import ClusterParams, FinitePoset, cluster_poset
+from clusterext.posets import (ClusterParams, FinitePoset, cluster_poset,
+                               count_linear_extensions_bruteforce)
 from clusterext.sampling import (ExtensionChain, concentration_report,
                                  default_burnin, default_thinning,
-                                 enumerate_linear_extensions, height_profile,
-                                 sample_distribution, sample_linear_extension)
+                                 height_profile, sample_distribution,
+                                 sample_linear_extension)
+from oracle import enumerate_linear_extensions
 
 
 def chain_poset(k):
@@ -141,6 +143,35 @@ def test_enumerate_linear_extensions():
     p = cluster_poset(ClusterParams(3, 1, 2, 2))
     assert len(enumerate_linear_extensions(p)) == 3
     assert len(enumerate_linear_extensions(antichain(4), limit=10)) == 10
+
+
+def test_enumerator_is_not_public():
+    import clusterext
+
+    assert not hasattr(clusterext, "enumerate_linear_extensions")
+    assert not hasattr(sampling, "enumerate_linear_extensions")
+
+
+@st.composite
+def small_posets(draw):
+    # covers x -> y with x < y only, so every draw is acyclic
+    n = draw(st.integers(0, 7))
+    pairs = [(x, y) for x in range(n) for y in range(x + 1, n)]
+    covers = draw(st.lists(st.sampled_from(pairs), max_size=8)) if pairs else []
+    return FinitePoset([f"e{i}" for i in range(n)], covers)
+
+
+@settings(max_examples=100, deadline=None)
+@given(poset=small_posets(), k=st.integers(0, 12))
+def test_enumerator_oracle_properties(poset, k):
+    exts = enumerate_linear_extensions(poset)
+    assert all(u < v for u, v in zip(exts, exts[1:]))  # strictly lexicographic
+    for ext in exts:
+        assert sorted(ext) == list(range(len(poset)))
+        position = {x: i for i, x in enumerate(ext)}
+        assert all(position[x] < position[y] for x, y in poset.covers)
+    assert len(exts) == count_linear_extensions_bruteforce(poset)
+    assert enumerate_linear_extensions(poset, limit=k) == exts[:k]
 
 
 def test_two_element_antichain_frequencies():
