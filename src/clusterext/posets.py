@@ -3,13 +3,11 @@
 The family studied here glues n chains of length m so that the b-th element
 of each chain is the a-th element of the next.  A modified variant pads the
 first and last chain with short boundary chains so that every glue element
-carries the same weight profile.  One builder appends the chains in order
-and wires each glue element by index, for both variants.  Both are ordinary
-finite posets; the brute-force counter below works for any poset of at most
-24 elements and is the independent oracle for the integral-based counts in
-:mod:`clusterext.exact_counts`, which also holds the check that compares
-them.  This module is the bottom layer: it imports nothing else from the
-package but its exceptions.
+carries the same weight profile.  Both are ordinary finite posets; the
+brute-force counter below works for any poset of at most 24 elements and is
+the independent oracle for the integral-based counts in
+:mod:`clusterext.exact_counts`.  This module is the bottom layer: it imports
+nothing from the package but its exceptions.
 """
 
 from __future__ import annotations
