@@ -22,9 +22,13 @@ for ext in sorted(counts):
     freq = counts[ext] / 10_000
     print(f"  {[poset.labels[i] for i in ext]}: {freq:.4f} (target "
           f"{1 / total:.4f})")
-# an extension never sampled is off by its whole target 1/total
+# the table lists the sampled extensions; one never sampled is off by its
+# whole target 1/total
+unseen = total - len(counts)
+if unseen:
+    print(f"  {unseen} extension(s) never sampled (target {1 / total:.4f} each)")
 tv = 0.5 * (sum(abs(counts[e] / 10_000 - 1 / total) for e in sorted(counts))
-            + (total - len(counts)) / total)
+            + unseen / total)
 print(f"  total-variation distance: {tv:.4f}")
 print()
 

@@ -7,7 +7,6 @@ consistency failure.  Output formats: human table (default), csv, json.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import sys
@@ -265,7 +264,6 @@ def _cmd_check(out) -> int:
     return 0 if failures == 0 else CONSISTENCY_ERROR
 
 
-@functools.cache  # parse_args leaves the parser unchanged; build it once per process
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="clusterext",

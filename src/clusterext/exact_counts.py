@@ -167,9 +167,7 @@ def exact_count(params: ClusterParams, variant: str = "p") -> int:
 def exact_count_sweep(m: int, a: int, b: int, n_max: int,
                       variant: str = "p") -> List[int]:
     """Exact counts for n = 1..n_max, sharing the integration state."""
-    if n_max < 1:
-        raise InvalidInputError("n_max must be >= 1")
-    ClusterParams(m, a, b, 1)  # validate (m, a, b) before the degree budget
+    ClusterParams(m, a, b, n_max)  # validate the shape before the degree budget
     v = _normalize_variant(variant)
     _check_budget(_degree(m, a, b, n_max, v))
     it = iter_exact_counts(m, a, b, v)

@@ -241,15 +241,6 @@ def test_classify_largest_request_finishes():
     assert sum(len(c) for c in classes) == math.factorial(7)
 
 
-def test_parser_is_built_once_per_process():
-    argv = ("count", "--m", "6", "--a", "2", "--b", "4", "--n", "5")
-    cli.build_parser.cache_clear()
-    first, second = run_cli(*argv), run_cli(*argv)
-    info = cli.build_parser.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
-    assert first == second and first[0] == 0
-
-
 def test_check_subcommand():
     status, out = run_cli("check")
     assert status == 0
