@@ -3,7 +3,8 @@
 ``classify_digests.json`` was recorded from the per-length brute-force
 sweep (now ``tests/oracle.py``) that the single incremental S_n sweep
 replaced, so any change to the partition a caller gets back fails here.
-The horizons are those of the ``classify_patterns`` benchmark workload.
+The horizons are those of the ``classify_patterns`` benchmark workload,
+plus m = 7, the largest pattern length the caps allow, at n_max 8 and 9.
 Re-record with
 
     PYTHONPATH=src python tests/test_classify_digests.py --record
@@ -22,7 +23,7 @@ from clusterext.patterns import evidence_classes
 
 DIGEST_FILE = Path(__file__).with_name("classify_digests.json")
 HORIZONS = ((1, (6, 7, 8)), (2, (6, 7, 8)), (3, (6, 7, 8)), (4, (6, 7, 8)),
-            (5, (6, 7, 8)), (6, (5, 6, 7)))
+            (5, (6, 7, 8)), (6, (5, 6, 7)), (7, (8, 9)))
 CASES = [(m, n_max, strong) for m, horizons in HORIZONS for n_max in horizons
          for strong in (True, False)]
 
