@@ -7,6 +7,10 @@
   :mod:`clusterext.patterns` replaced by one incremental depth-first sweep;
   it ranks every window of every text from scratch and tallies all m!
   patterns per text.
+* ``evidence_classes_by_pattern``: S_m partitioned by those histograms with
+  every pattern keyed on its own, the loop that
+  :func:`clusterext.patterns.evidence_classes` replaced by one key per
+  reverse/complement orbit.
 """
 
 import math
@@ -123,6 +127,18 @@ def _histograms_for_length(m: int, n: int) -> Dict[Pattern, Dict[int, int]]:
             k = seen.get(p, 0)
             d[k] = d.get(k, 0) + 1
     return hist
+
+
+def evidence_classes_by_pattern(m: int, n_max: int,
+                                strong: bool = True) -> List[List[Pattern]]:
+    """S_m grouped by the histograms (strong) or avoiders (weak) for n = 1..n_max."""
+    groups: Dict[tuple, List[Pattern]] = {}
+    for p in _permutations(range(1, m + 1)):
+        hists = [_histograms_for_length(m, n)[p] for n in range(1, n_max + 1)]
+        key = tuple(tuple(sorted(h.items())) if strong else h.get(0, 0)
+                    for h in hists)
+        groups.setdefault(key, []).append(p)
+    return sorted(sorted(g) for g in groups.values())
 
 
 def enumerate_linear_extensions(poset: FinitePoset,

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from clusterext import patterns
 from clusterext.errors import InvalidInputError, ResourceLimitError
-from oracle import _histograms_for_length
+from oracle import _histograms_for_length, evidence_classes_by_pattern
 
 
 def test_standardize_examples():
@@ -174,6 +174,62 @@ def test_evidence_classes_s3():
         [(1, 2, 3), (3, 2, 1)],
         [(1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2)],
     ]
+
+
+# every horizon of the orbit-keyed classes against the per-pattern oracle
+GROUPING_CASES = [(m, n_max) for m in range(1, 6) for n_max in range(1, 8)] + [
+    (6, n_max) for n_max in range(1, 7)]
+
+
+@pytest.mark.parametrize("m,n_max", GROUPING_CASES)
+def test_evidence_classes_match_per_pattern_keying(m, n_max):
+    for strong in (True, False):
+        assert (patterns.evidence_classes(m, n_max, strong)
+                == evidence_classes_by_pattern(m, n_max, strong)), strong
+
+
+def test_orbit_histograms_are_shared_but_cannot_leak():
+    p, n = (1, 3, 4, 2), 6
+    orbit = [p, patterns.reverse(p), patterns.complement(p),
+             patterns.reverse(patterns.complement(p))]
+    assert len(set(orbit)) == 4
+    want = _histograms_for_length(4, n)[p]
+    patterns._sweep.cache_clear()
+    # the sweep stores one histogram dict per orbit under all of its patterns
+    level = patterns._sweep(4, n)[n - 1]
+    assert len({id(level[q]) for q in orbit}) == 1
+    hist = patterns.occurrence_histogram(p, n)
+    hist.counts.clear()
+    hist.counts[0] = -1
+    for q in orbit:
+        assert patterns.occurrence_histogram(q, n).counts == want, q
+    assert patterns._sweep.cache_info().misses == 1  # the same cached sweep
+
+
+@pytest.mark.parametrize("n", [3.0, 2.5, True, False, "4", None])
+def test_non_integer_horizons_are_refused(n):
+    with pytest.raises(InvalidInputError):
+        patterns.occurrence_histogram((1, 2), n)
+    with pytest.raises(InvalidInputError):
+        patterns.cwilf_evidence((1, 2), (2, 1), n)
+    with pytest.raises(InvalidInputError):
+        patterns.evidence_classes(3, n)
+
+
+@pytest.mark.parametrize("m", [3.0, True, False, "3", None])
+def test_non_integer_classify_lengths_are_refused(m):
+    with pytest.raises(InvalidInputError):
+        patterns.evidence_classes(m, 4)
+
+
+def test_symmetry_class_examples():
+    assert patterns.symmetry_class((1, 3, 4, 2)) == (
+        (1, 3, 4, 2), (2, 4, 3, 1), (3, 1, 2, 4), (4, 2, 1, 3))
+    assert patterns.symmetry_class([1, 2, 3]) == ((1, 2, 3), (3, 2, 1))
+    assert patterns.symmetry_class((2, 1, 4, 3)) == ((2, 1, 4, 3), (3, 4, 1, 2))
+    assert patterns.symmetry_class((1,)) == ((1,),)
+    with pytest.raises(InvalidInputError):
+        patterns.symmetry_class((1, 3))
 
 
 def test_evidence_classes_resource_guard():
