@@ -1,4 +1,8 @@
-"""Consecutive-pattern equivalence evidence from brute-force histograms.
+"""Consecutive-pattern equivalence evidence from exact occurrence histograms.
+
+The histograms over all of S_n come from one depth-first sweep of S_n that
+walks half the tree and credits the other half to the complemented
+patterns.
 
 Two patterns are strongly c-Wilf equivalent when, for every text length,
 the full distributions of their occurrence counts agree.  Reverse and
