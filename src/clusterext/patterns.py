@@ -31,11 +31,10 @@ built once per orbit {p, pR, pC, pRC}, and ``evidence_classes`` keys one
 pattern per orbit.  The cost is O(m) per node of depth below n_max, about
 m (n_max - 1)! / 2 steps, plus m * m! for the tables; there is no per-text
 factor of m!.  ``classify --m 7 --n-max 10``, the largest request the caps
-allow, takes about 1.35 s on one core of a 2-vCPU Xeon VM (2.6 s with
-the whole tree walked).  The
-per-length brute force this replaced ranked every window of every text and
-tallied all m! patterns per text, about 0.9 ms per text at m = 7: an hour
-for the 4 M texts of S_1..S_10.
+allow, takes about 1.35 s on one core of a 2-vCPU Xeon VM (2.6 s with the
+whole tree walked).  The per-length brute force this replaced ranked every
+window of every text and tallied all m! patterns per text, about 0.9 ms per
+text at m = 7: an hour for the 4 M texts of S_1..S_10.
 
 Equivalence results obtained here are evidence up to a stated text length,
 never proofs.
@@ -191,9 +190,10 @@ def _sweep(m: int, n_max: int) -> Tuple[Dict[Pattern, Dict[int, int]], ...]:
     """Occurrence histograms of the length-m patterns over S_1, ..., S_n_max.
 
     Entry n-1 maps each pattern that occurs in S_n to its histogram; a
-    pattern missing there (every pattern when n < m) has {0: n!}.  A sweep
-    with m > MAX_CLASSIFY_LENGTH and n_max >= m raises ResourceLimitError
-    before it builds any table.
+    pattern missing there (every pattern when n < m) has {0: n!}.  The
+    patterns of one reverse/complement orbit share one dict, so a caller
+    copies it before any change.  A sweep with m > MAX_CLASSIFY_LENGTH and
+    n_max >= m raises ResourceLimitError before it builds any table.
     """
     if m == 1:  # every entry is an occurrence of the one pattern
         return tuple({(1,): {n: math.factorial(n)}} for n in range(1, n_max + 1))
@@ -261,7 +261,7 @@ def _sweep(m: int, n_max: int) -> Tuple[Dict[Pattern, Dict[int, int]], ...]:
             if p in level:
                 continue
             g = [total, *row, 0]
-            # reverse and complement keep every histogram: one dict per orbit
+            # one dict per orbit, as reverse and complement keep histograms
             level.update(dict.fromkeys(_orbit(p), {
                 k: g[k] - g[k + 1] for k in range(len(row) + 1) if g[k] != g[k + 1]}))
         levels.append(level)
