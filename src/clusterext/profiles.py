@@ -226,8 +226,8 @@ def profile_table(m: int, a: int, b: int, grid_size: int = 1000) -> ProfileTable
     A grid_size above MAX_PROFILE_POINTS raises ResourceLimitError before
     any point is evaluated.
     """
-    if grid_size < 2:
-        raise InvalidInputError("grid_size must be >= 2")
+    if type(grid_size) is not int or grid_size < 2:  # also refuses bool
+        raise InvalidInputError(f"grid_size must be an integer >= 2, got {grid_size!r}")
     if grid_size > MAX_PROFILE_POINTS:
         raise ResourceLimitError(f"grid_size {grid_size} exceeds the cap of "
                                  f"{MAX_PROFILE_POINTS} points")

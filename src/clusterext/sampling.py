@@ -60,6 +60,9 @@ def _budget(size: int, samples: int, burnin: Optional[int],
             thinning: Optional[int]) -> Tuple[int, int]:
     """Validate a sampling request, fill in the default (burnin, thinning)
     and refuse it, before any chain is built, if it is over the caps."""
+    for name, v in (("samples", samples), ("burnin", burnin), ("thinning", thinning)):
+        if v is not None and type(v) is not int:  # also refuses bool
+            raise InvalidInputError(f"{name} must be an integer, got {v!r}")
     if samples < 1 or (burnin is not None and burnin < 0) or \
             (thinning is not None and thinning < 1):
         raise InvalidInputError("need samples >= 1, burnin >= 0 and thinning >= 1")
@@ -82,33 +85,29 @@ class ExtensionChain:
 
     Deterministic given the poset, the seed and the step counts of the
     successive :meth:`run` calls: one PCG64 stream drives every step.
-    ``validate=True`` re-checks the extension property after every step and
-    is meant for tests on small posets.  ``position`` (element -> index in
-    ``order``) is rebuilt at the end of each :meth:`run` call.
+    ``position`` (element -> index in ``order``) is rebuilt at the end of
+    each :meth:`run` call.
     """
 
-    def __init__(self, poset: FinitePoset, seed: int, validate: bool = False):
+    def __init__(self, poset: FinitePoset, seed: int):
         import numpy as np
 
-        self.poset = poset
         self.order: List[int] = list(poset.topological_order())
         self.position: List[int] = [0] * len(poset)
         self._sync_position()
         self._less = poset.less_matrix()
         self._rng = np.random.default_rng(seed)
-        self.validate = validate
 
     def run(self, steps: int) -> None:
         """Advance the chain by ``steps`` lazy adjacent-transposition moves."""
-        if steps < 0:
-            raise InvalidInputError("step count must be >= 0")
+        if type(steps) is not int or steps < 0:  # also refuses bool
+            raise InvalidInputError(f"steps must be an integer >= 0, got {steps!r}")
         size = len(self.order)
         if size < 2:
             return
         order = self.order
         less = self._less
         integers = self._rng.integers
-        validate = self.validate
         span = 2 * (size - 1)  # position choice and lazy coin drawn together
         remaining = steps
         while remaining > 0:
@@ -116,43 +115,19 @@ class ExtensionChain:
             chunk = min(remaining, _CHUNK)
             draws = integers(0, span, size=chunk)
             remaining -= chunk
-            if validate:
-                self._run_checked(draws.tolist())
-            else:  # only the draws that win the lazy coin can move
-                for j in (draws[(draws & 1) == 1] >> 1).tolist():
-                    u = order[j]
-                    v = order[j + 1]
-                    if not less[u][v]:
-                        order[j] = v
-                        order[j + 1] = u
-        self._sync_position()
-
-    def _run_checked(self, draws: List[int]) -> None:
-        """The same moves, with ``position`` kept current and checked after every draw."""
-        order = self.order
-        position = self.position
-        less = self._less
-        for r in draws:
-            if r & 1:
-                j = r >> 1
+            # only the draws that win the lazy coin can move
+            for j in (draws[(draws & 1) == 1] >> 1).tolist():
                 u = order[j]
                 v = order[j + 1]
                 if not less[u][v]:
                     order[j] = v
                     order[j + 1] = u
-                    position[u] = j + 1
-                    position[v] = j
-            self._assert_valid()
+        self._sync_position()
 
     def _sync_position(self) -> None:
         position = self.position
         for idx, elem in enumerate(self.order):
             position[elem] = idx
-
-    def _assert_valid(self) -> None:
-        for x, y in self.poset.covers:
-            if self.position[x] > self.position[y]:
-                raise InvalidInputError("chain state is not a linear extension")
 
     def state(self) -> Tuple[int, ...]:
         return tuple(self.order)

@@ -11,14 +11,21 @@
   every pattern keyed on its own, the loop that
   :func:`clusterext.patterns.evidence_classes` replaced by one key per
   reverse/complement orbit.
+* ``checked_chain``: the lazy adjacent-transposition chain applied one draw
+  at a time in Python, with ``position`` kept current and the cover
+  relations asserted after every draw; :class:`clusterext.sampling.ExtensionChain`
+  filters the lazy coin in numpy and rebuilds ``position`` once per call.
 """
 
 import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations as _permutations
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
+import numpy as np
+
+from clusterext import sampling
 from clusterext.errors import InvalidInputError, ResourceLimitError
 from clusterext.patterns import MAX_TEXT_LENGTH, Pattern
 from clusterext.posets import FinitePoset
@@ -178,3 +185,33 @@ def enumerate_linear_extensions(poset: FinitePoset,
 
     backtrack(available)
     return out
+
+
+def checked_chain(poset: FinitePoset, seed: int, calls: Iterable[int]
+                  ) -> Iterator[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
+    """Yield (order, position) after each call of ``steps`` chain moves.
+
+    Draws the same PCG64 chunks as ``ExtensionChain.run`` and applies every
+    draw on its own, so a trajectory must match the fast chain's at every
+    call boundary.
+    """
+    rng = np.random.default_rng(seed)
+    order = list(poset.topological_order())
+    position = [0] * len(order)
+    for i, x in enumerate(order):
+        position[x] = i
+    span = 2 * (len(order) - 1)
+    for steps in calls:
+        remaining = steps if len(order) >= 2 else 0
+        while remaining > 0:
+            chunk = min(remaining, sampling._CHUNK)
+            remaining -= chunk
+            for r in rng.integers(0, span, size=chunk).tolist():
+                j = r >> 1
+                if r & 1 and not poset.less(order[j], order[j + 1]):
+                    order[j], order[j + 1] = order[j + 1], order[j]
+                    position[order[j]] = j
+                    position[order[j + 1]] = j + 1
+                assert all(position[x] < position[y] for x, y in poset.covers), \
+                    "chain state is not a linear extension"
+        yield tuple(order), tuple(position)

@@ -1,9 +1,10 @@
 """Bit-identity gate: MCMC trajectories match recorded SHA-256 digests.
 
 ``chain_digests.json`` was recorded from the per-step chain loop that kept
-``position`` up to date on every swap and tested the lazy coin in Python.
-Any change to how the chain consumes its PCG64 stream, or to which state a
-draw leads to, fails here.  Re-record with
+``position`` up to date on every swap and tested the lazy coin in Python;
+that loop is now ``checked_chain`` in ``tests/oracle.py``, and the split
+digests pin it too.  Any change to how the chain consumes its PCG64 stream,
+or to which state a draw leads to, fails here.  Re-record with
 
     PYTHONPATH=src python tests/test_chain_digests.py --record
 
@@ -21,6 +22,7 @@ from clusterext.posets import (ClusterParams, FinitePoset, cluster_poset,
                                modified_cluster_poset)
 from clusterext.sampling import (ExtensionChain, height_profile,
                                  sample_distribution)
+from oracle import checked_chain
 
 DIGEST_FILE = Path(__file__).with_name("chain_digests.json")
 SEEDS = (0, 7, 2024)
@@ -61,8 +63,12 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _digest(order, position):
+    return _sha(repr((tuple(order), tuple(position))).encode())
+
+
 def _chain_digest(chain):
-    return _sha(repr((chain.state(), tuple(chain.position))).encode())
+    return _digest(chain.state(), chain.position)
 
 
 def state_digest(name, seed, steps):
@@ -108,6 +114,14 @@ def test_state_digests(recorded, name):
             assert state_digest(name, seed, steps) == table[_key(name, seed, steps)], \
                 (name, seed, steps)
         assert split_digest(name, seed) == table[_key(name, seed, "split")], (name, seed)
+
+
+@pytest.mark.parametrize("name", sorted(POSETS))
+def test_checked_chain_matches_split_digests(recorded, name):
+    table = recorded["states"]
+    for seed in SEEDS:
+        *_, (order, position) = checked_chain(POSETS[name](), seed, SPLIT_STEPS)
+        assert _digest(order, position) == table[_key(name, seed, "split")], (name, seed)
 
 
 @pytest.mark.parametrize("case", PROFILES, ids=lambda c: _key(*c[:4]))

@@ -161,6 +161,9 @@ def test_profile_grid_over_cap_is_refused_before_any_point(monkeypatch):
     # just past the cap: without it, the first point fails, and nothing large runs
     with pytest.raises(ResourceLimitError):
         profile_table(8, 3, 5, profiles.MAX_PROFILE_POINTS + 1)
+    for bad in (10.0, "10", True, None):
+        with pytest.raises(InvalidInputError):
+            profile_table(8, 3, 5, bad)
 
 
 def test_variational_constant_weight_is_identity():

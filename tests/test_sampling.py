@@ -11,7 +11,7 @@ from clusterext.sampling import (ExtensionChain, concentration_report,
                                  default_burnin, default_thinning,
                                  height_profile, sample_distribution,
                                  sample_linear_extension)
-from oracle import enumerate_linear_extensions
+from oracle import checked_chain, enumerate_linear_extensions
 
 
 def chain_poset(k):
@@ -50,13 +50,13 @@ def test_determinism():
 
 
 def test_states_stay_valid_with_validation_on():
+    # the oracle asserts the cover relations after every one of the 50,000 draws
     poset = cluster_poset(ClusterParams(4, 2, 3, 2))
-    chain = ExtensionChain(poset, seed=9, validate=True)
-    chain.run(50_000)  # raises if any state is not a linear extension
-    order = chain.state()
-    position = {e: i for i, e in enumerate(order)}
-    for x, y in poset.covers:
-        assert position[x] < position[y]
+    chain = ExtensionChain(poset, seed=9)
+    chain.run(50_000)
+    [(order, position)] = checked_chain(poset, 9, [50_000])
+    assert chain.state() == order
+    assert tuple(chain.position) == position
 
 
 @st.composite
@@ -74,24 +74,11 @@ def small_shapes(draw):
 def test_validated_chain_follows_the_same_trajectory(params, seed, calls):
     poset = cluster_poset(params)
     fast = ExtensionChain(poset, seed)
-    checked = ExtensionChain(poset, seed, validate=True)
-    for steps in calls:
+    for steps, (order, position) in zip(calls, checked_chain(poset, seed, calls),
+                                         strict=True):
         fast.run(steps)
-        checked.run(steps)
-        assert fast.state() == checked.state()
-        assert fast.position == checked.position
-        assert all(fast.position[e] == i for i, e in enumerate(fast.state()))
-
-
-def test_validation_checks_every_draw(monkeypatch):
-    # the check runs after every draw, also the ones that lose the lazy coin
-    checks = []
-    monkeypatch.setattr(ExtensionChain, "_assert_valid",
-                        lambda self: checks.append(None))
-    chain = ExtensionChain(cluster_poset(ClusterParams(3, 1, 2, 2)), 0,
-                           validate=True)
-    chain.run(40_000)
-    assert len(checks) == 40_000
+        assert fast.state() == order
+        assert tuple(fast.position) == position
 
 
 def test_over_budget_requests_are_refused_before_sampling(monkeypatch):
@@ -119,6 +106,14 @@ def test_over_budget_requests_are_refused_before_sampling(monkeypatch):
                             thinning=1, burnin=0, seed=0)
     with pytest.raises(InvalidInputError):  # bad input is reported first
         height_profile(ClusterParams(9, 1, 2, 10 ** 30), samples=1, burnin=-1)
+    # non-int counts, bool included, are refused before the default budget runs
+    for bad in ({"samples": 2.5}, {"samples": True}, {"samples": 1, "burnin": 10.0},
+                {"samples": 1, "thinning": 3.0}, {"samples": 1, "burnin": False},
+                {"samples": "2"}):
+        with pytest.raises(InvalidInputError):
+            height_profile(ClusterParams(5, 2, 4, 10), **bad)
+    with pytest.raises(InvalidInputError):
+        sample_distribution(antichain(3), 2.0, thinning=1, burnin=0, seed=0)
 
 
 class _ChainBuilt(Exception):
@@ -226,6 +221,18 @@ def test_height_profile_validation():
         height_profile(params, samples=1, burnin=-1)
     with pytest.raises(InvalidInputError):
         height_profile(params, samples=1, thinning=0)
+    for bad in ({"samples": 2.5}, {"samples": True}, {"samples": 1, "burnin": 10.5},
+                {"samples": 1, "thinning": 2.0}, {"samples": 1, "thinning": True},
+                {"samples": 1, "burnin": "5"}):
+        with pytest.raises(InvalidInputError):
+            height_profile(params, **bad)
+
+
+def test_run_refuses_non_int_steps():
+    chain = ExtensionChain(cluster_poset(ClusterParams(3, 1, 2, 2)), seed=0)
+    for bad in (-1, 2.0, 2.5, True, "3", None):
+        with pytest.raises(InvalidInputError):
+            chain.run(bad)
 
 
 def test_default_budgets():
