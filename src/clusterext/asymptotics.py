@@ -107,14 +107,14 @@ class AsymptoticConstant:
 def growth_constant(m: int, a: int, b: int) -> AsymptoticConstant:
     """The constant c(m, a, b) in log e(P_n) = (m-b+a-1) n log n + c n + O(log n).
 
-    c = (b-a) log B((a-1)/(b-a)+1, (m-b)/(b-a)+1) - log B(a, m-b+1)
+    c = (b-a) log B(alpha, beta) - log B(a, m-b+1)
         - log Gamma(m-b+a+1) + (m-1) log(m-1) - (b-a) log(b-a) - m + b - a + 1
+
+    with (alpha, beta) the weight shape ``ClusterParams.shape``.
     """
     params = ClusterParams(m, a, b, 1)
-    d = b - a
-    alpha = (a - 1) / d + 1.0
-    beta = (m - b) / d + 1.0
-    value = (d * log_beta(alpha, beta)
+    d = params.d
+    value = (d * log_beta(*params.shape)
              - log_beta(float(a), float(m - b + 1))
              - log_gamma(float(m - b + a + 1))
              + (m - 1) * math.log(m - 1)
@@ -179,11 +179,15 @@ def log_integer(value: int) -> float:
     return math.log(value >> shift) + shift * math.log(2.0)
 
 
+def _linear_term(count: int, leading: int, n: int) -> float:
+    """(log count - leading n log n) / n, the estimate of c from one exact count."""
+    return (log_integer(count) - leading * n * math.log(n)) / n
+
+
 def empirical_constant(m: int, a: int, b: int, n: int) -> float:
     """(log e(P_n) - (m-b+a-1) n log n) / n, from the exact integer count."""
     params = ClusterParams(m, a, b, n)
-    count = exact_count(params, "p")
-    return (log_integer(count) - params.leading * n * math.log(n)) / n
+    return _linear_term(exact_count(params, "p"), params.leading, n)
 
 
 def crossover_sweeps(m: int, a: int, b: int, a2: int, b2: int,
@@ -195,8 +199,6 @@ def crossover_sweeps(m: int, a: int, b: int, a2: int, b2: int,
     as in constant_gap.
     """
     _check_gap_hypotheses(m, a, b, a2, b2)
-    if n_max < 1:
-        raise InvalidInputError("n_max must be >= 1")
     first = exact_count_sweep(m, a, b, n_max, "p")
     second = exact_count_sweep(m, a2, b2, n_max, "p")
     n0 = None

@@ -15,7 +15,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 from . import asymptotics, exact_counts, patterns, posets, profiles, sampling
 from .errors import (DegenerateParameterError, DomainError,
                      InternalConsistencyError, InvalidInputError,
-                     ResourceLimitError)
+                     ResourceLimitError, require_int)
 
 USAGE_ERROR = 2
 RESOURCE_ERROR = 3
@@ -129,8 +129,7 @@ def _cmd_constant(args) -> _Result:
 
 
 def _cmd_fit(args) -> _Result:
-    if args.points < 0:
-        raise InvalidInputError("--points must be >= 0 (0 keeps every n)")
+    require_int("--points", args.points, 0)
     const = asymptotics.growth_constant(args.m, args.a, args.b)
     n_values = list(range(1, args.n_max + 1))
     if args.points == 1:
@@ -143,8 +142,7 @@ def _cmd_fit(args) -> _Result:
                                             args.n_max, "p")
     rows = []
     for n in n_values:
-        emp = ((asymptotics.log_integer(counts[n - 1])
-                - const.leading * n * math.log(n)) / n)
+        emp = asymptotics._linear_term(counts[n - 1], const.leading, n)
         rows.append((n, emp, const.value, abs(emp - const.value)))
     header = ("n", "empirical_c", "c", "abs_error")
     return _Result(_records(header, rows), header, rows)

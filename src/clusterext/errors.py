@@ -1,4 +1,12 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one integer-argument rule.
+
+Every integer argument of the public API (the fields of ``ClusterParams``,
+text and pattern lengths, grid sizes, sample counts, step counts, seeds)
+goes through :func:`require_int`: it must be an ``int`` that is not a
+``bool`` and lies at or above its lower bound, or the call raises
+:class:`InvalidInputError` before any count, table entry or chain step is
+computed.
+"""
 
 
 class InvalidInputError(ValueError):
@@ -19,3 +27,9 @@ class ResourceLimitError(RuntimeError):
 
 class InternalConsistencyError(RuntimeError):
     """An internal exactness check failed; indicates an implementation bug."""
+
+
+def require_int(name: str, value: object, low: int) -> None:
+    """Raise InvalidInputError unless ``value`` is an int, not a bool, and >= ``low``."""
+    if type(value) is not int or value < low:  # type() also refuses bool
+        raise InvalidInputError(f"{name} must be an integer >= {low}, got {value!r}")

@@ -48,7 +48,7 @@ from functools import lru_cache
 from itertools import permutations as _permutations
 from typing import Dict, List, Sequence, Tuple
 
-from .errors import InvalidInputError, ResourceLimitError
+from .errors import InvalidInputError, ResourceLimitError, require_int
 
 Pattern = Tuple[int, ...]
 
@@ -159,8 +159,7 @@ def nonoverlapping_fraction(m: int) -> float:
     m = 9, so several minutes (about 7 by extrapolation) at the cap
     ``MAX_CENSUS_LENGTH`` = 11.
     """
-    if m < 2:
-        raise InvalidInputError("non-overlap is defined for length >= 2")
+    require_int("pattern length", m, 2)
     if m > MAX_CENSUS_LENGTH:
         raise ResourceLimitError(f"census supported for m <= {MAX_CENSUS_LENGTH}")
     count = sum(1 for p in _permutations(range(1, m + 1)) if is_nonoverlapping(p))
@@ -269,10 +268,7 @@ def _sweep(m: int, n_max: int) -> Tuple[Dict[Pattern, Dict[int, int]], ...]:
 
 
 def _check_horizon(n: int) -> None:
-    if type(n) is not int:  # also refuses bool
-        raise InvalidInputError(f"text length must be an integer, got {n!r}")
-    if n < 1:
-        raise InvalidInputError("text length must be >= 1")
+    require_int("text length", n, 1)
     if n > MAX_TEXT_LENGTH:
         raise ResourceLimitError(f"text enumeration supported for n <= {MAX_TEXT_LENGTH}")
 
@@ -321,10 +317,7 @@ def evidence_classes(m: int, n_max: int, strong: bool = True) -> List[List[Patte
     Classes are keyed on the full sequence of histograms (strong) or the
     avoider counts (weak) for n = 1..n_max, then sorted lexicographically.
     """
-    if type(m) is not int:  # also refuses bool
-        raise InvalidInputError(f"pattern length must be an integer, got {m!r}")
-    if m < 1:
-        raise InvalidInputError("pattern length must be >= 1")
+    require_int("pattern length", m, 1)
     if m > MAX_CLASSIFY_LENGTH:
         raise ResourceLimitError(
             f"classification supported for m <= {MAX_CLASSIFY_LENGTH}")

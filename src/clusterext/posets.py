@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .errors import InternalConsistencyError, InvalidInputError, ResourceLimitError
+from .errors import (InternalConsistencyError, InvalidInputError, ResourceLimitError,
+                     require_int)
 
 #: Cap for the order-ideal dynamic program (bitmask-indexed).
 MAX_BRUTEFORCE_ELEMENTS = 24
@@ -33,14 +34,10 @@ class ClusterParams:
 
     def __post_init__(self) -> None:
         for name in ("m", "a", "b", "n"):
-            v = getattr(self, name)
-            if type(v) is not int:  # also refuses bool
-                raise InvalidInputError(f"{name} must be an integer, got {v!r}")
-        if not (1 <= self.a < self.b <= self.m):
+            require_int(name, getattr(self, name), 1)
+        if not self.a < self.b <= self.m:
             raise InvalidInputError(
                 f"need 1 <= a < b <= m, got a={self.a}, b={self.b}, m={self.m}")
-        if self.n < 1:
-            raise InvalidInputError(f"need n >= 1, got n={self.n}")
 
     @property
     def d(self) -> int:
@@ -51,6 +48,11 @@ class ClusterParams:
     def leading(self) -> int:
         """Exponent m - b + a - 1 of the leading n log n growth term."""
         return self.m - self.b + self.a - 1
+
+    @property
+    def shape(self) -> Tuple[float, float]:
+        """Beta shape ((a-1)/(b-a)+1, (m-b)/(b-a)+1) of one glue element's weight."""
+        return (self.a - 1) / self.d + 1.0, (self.m - self.b) / self.d + 1.0
 
     @property
     def p_size(self) -> int:

@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Sequence, Tuple
 from .asymptotics import log_beta
 from .errors import (DegenerateParameterError, DomainError,
                      InternalConsistencyError, InvalidInputError,
-                     ResourceLimitError)
+                     ResourceLimitError, require_int)
 from .posets import ClusterParams
 
 if TYPE_CHECKING:  # numpy is imported by the functions that use it
@@ -58,25 +58,18 @@ def _beta_cf(alpha: float, beta: float, x: float) -> float:
     h = d
     for mm in range(1, _CF_MAX_ITER + 1):
         m2 = 2 * mm
-        aa = mm * (beta - mm) * x / ((qam + m2) * (alpha + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _CF_TINY:
-            d = _CF_TINY
-        c = 1.0 + aa / c
-        if abs(c) < _CF_TINY:
-            c = _CF_TINY
-        d = 1.0 / d
-        h *= d * c
-        aa = -(alpha + mm) * (qab + mm) * x / ((alpha + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _CF_TINY:
-            d = _CF_TINY
-        c = 1.0 + aa / c
-        if abs(c) < _CF_TINY:
-            c = _CF_TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        # one Lentz update for the even coefficient, then one for the odd
+        for aa in (mm * (beta - mm) * x / ((qam + m2) * (alpha + m2)),
+                   -(alpha + mm) * (qab + mm) * x / ((alpha + m2) * (qap + m2))):
+            d = 1.0 + aa * d
+            if abs(d) < _CF_TINY:
+                d = _CF_TINY
+            c = 1.0 + aa / c
+            if abs(c) < _CF_TINY:
+                c = _CF_TINY
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < _CF_EPS:
             return h
     raise InternalConsistencyError(
@@ -102,15 +95,12 @@ def regularized_incomplete_beta(alpha: float, beta: float, x: float) -> float:
 
 
 def _shape(m: int, a: int, b: int) -> Tuple[float, float]:
-    ClusterParams(m, a, b, 1)
-    d = b - a
-    return (a - 1) / d + 1.0, (m - b) / d + 1.0
+    return ClusterParams(m, a, b, 1).shape
 
 
 def beta_value(m: int, a: int, b: int) -> float:
-    """The full beta value B((a-1)/(b-a)+1, (m-b)/(b-a)+1) of the weight shape."""
-    alpha, beta = _shape(m, a, b)
-    return math.exp(log_beta(alpha, beta))
+    """The full beta value B(alpha, beta) at the weight shape ``ClusterParams.shape``."""
+    return math.exp(log_beta(*_shape(m, a, b)))
 
 
 def weight_cdf(m: int, a: int, b: int, t: float) -> float:
@@ -146,7 +136,7 @@ def limit_profile(m: int, a: int, b: int, t: float) -> float:
             hi = s
         if abs(g - t) <= 1e-15 or hi - lo <= 1e-13:
             return s
-        density = _weight_density(m, a, b, s)
+        density = _weight_density(alpha, beta, s)
         step = (g - t) / density if density > 1e-12 else math.inf
         proposal = s - step
         if not lo < proposal < hi:
@@ -157,8 +147,7 @@ def limit_profile(m: int, a: int, b: int, t: float) -> float:
         f"(m={m}, a={a}, b={b}, t={t})")
 
 
-def _weight_density(m: int, a: int, b: int, u: float) -> float:
-    alpha, beta = _shape(m, a, b)
+def _weight_density(alpha: float, beta: float, u: float) -> float:
     if u <= 0.0 or u >= 1.0:
         return 0.0
     return math.exp((alpha - 1.0) * math.log(u) + (beta - 1.0) * math.log1p(-u)
@@ -226,8 +215,7 @@ def profile_table(m: int, a: int, b: int, grid_size: int = 1000) -> ProfileTable
     A grid_size above MAX_PROFILE_POINTS raises ResourceLimitError before
     any point is evaluated.
     """
-    if type(grid_size) is not int or grid_size < 2:  # also refuses bool
-        raise InvalidInputError(f"grid_size must be an integer >= 2, got {grid_size!r}")
+    require_int("grid_size", grid_size, 2)
     if grid_size > MAX_PROFILE_POINTS:
         raise ResourceLimitError(f"grid_size {grid_size} exceeds the cap of "
                                  f"{MAX_PROFILE_POINTS} points")

@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from .errors import InvalidInputError, ResourceLimitError
+from .errors import ResourceLimitError, require_int
 from .posets import ClusterParams, FinitePoset, cluster_poset, glue_labels
 from .profiles import limit_profile
 
@@ -60,12 +60,11 @@ def _budget(size: int, samples: int, burnin: Optional[int],
             thinning: Optional[int]) -> Tuple[int, int]:
     """Validate a sampling request, fill in the default (burnin, thinning)
     and refuse it, before any chain is built, if it is over the caps."""
-    for name, v in (("samples", samples), ("burnin", burnin), ("thinning", thinning)):
-        if v is not None and type(v) is not int:  # also refuses bool
-            raise InvalidInputError(f"{name} must be an integer, got {v!r}")
-    if samples < 1 or (burnin is not None and burnin < 0) or \
-            (thinning is not None and thinning < 1):
-        raise InvalidInputError("need samples >= 1, burnin >= 0 and thinning >= 1")
+    require_int("samples", samples, 1)
+    if burnin is not None:
+        require_int("burnin", burnin, 0)
+    if thinning is not None:
+        require_int("thinning", thinning, 1)
     if size > MAX_CHAIN_ELEMENTS:
         raise ResourceLimitError(
             f"sampling supports posets of at most {MAX_CHAIN_ELEMENTS} elements")
@@ -90,6 +89,7 @@ class ExtensionChain:
     """
 
     def __init__(self, poset: FinitePoset, seed: int):
+        require_int("seed", seed, 0)
         import numpy as np
 
         self.order: List[int] = list(poset.topological_order())
@@ -100,8 +100,7 @@ class ExtensionChain:
 
     def run(self, steps: int) -> None:
         """Advance the chain by ``steps`` lazy adjacent-transposition moves."""
-        if type(steps) is not int or steps < 0:  # also refuses bool
-            raise InvalidInputError(f"steps must be an integer >= 0, got {steps!r}")
+        require_int("steps", steps, 0)
         size = len(self.order)
         if size < 2:
             return

@@ -117,6 +117,11 @@ def test_fit_negative_points_exits_2():
     assert status == 2 and out == ""
 
 
+def test_negative_seed_exits_2():
+    status, out = run_cli(*"sample --m 3 --a 1 --b 2 --n 2 --samples 1 --seed -1".split())
+    assert status == 2 and out == ""
+
+
 def test_compare_json():
     status, out = run_cli("compare", "--m", "6", "--a", "1", "--b", "3",
                           "--a2", "2", "--b2", "4", "--n-max", "8",

@@ -1,0 +1,76 @@
+"""Every public integer argument follows one rule: an int, not a bool, at or
+above its lower bound, or InvalidInputError before any work is done."""
+
+import pytest
+
+from clusterext import asymptotics, cli, patterns, profiles, sampling
+from clusterext.errors import InvalidInputError, require_int
+from clusterext.exact_counts import exact_count_sweep
+from clusterext.posets import ClusterParams, FinitePoset
+
+SMALL = ClusterParams(3, 1, 2, 2)
+ANTICHAIN = FinitePoset(["x", "y", "z"], [])
+
+
+def _fit_points(v):
+    args = cli.build_parser().parse_args(
+        ["fit", "--m", "3", "--a", "1", "--b", "2", "--n-max", "3"])
+    args.points = v
+    args.func(args)
+
+
+# (argument, call with the value under test, a value just below its range)
+ARGUMENTS = [
+    ("ClusterParams.m", lambda v: ClusterParams(v, 1, 2, 1), 1),
+    ("ClusterParams.a", lambda v: ClusterParams(3, v, 2, 1), 0),
+    ("ClusterParams.b", lambda v: ClusterParams(3, 1, v, 1), 1),
+    ("ClusterParams.n", lambda v: ClusterParams(3, 1, 2, v), 0),
+    ("occurrence_histogram.n", lambda v: patterns.occurrence_histogram((1, 2), v), 0),
+    ("cwilf_evidence.n_max", lambda v: patterns.cwilf_evidence((1, 2), (2, 1), v), 0),
+    ("evidence_classes.m", lambda v: patterns.evidence_classes(v, 3), 0),
+    ("evidence_classes.n_max", lambda v: patterns.evidence_classes(3, v), 0),
+    ("nonoverlapping_fraction.m", patterns.nonoverlapping_fraction, 1),
+    ("profile_table.grid_size", lambda v: profiles.profile_table(3, 1, 2, v), 1),
+    ("height_profile.samples",
+     lambda v: sampling.height_profile(SMALL, v, burnin=0, thinning=1), 0),
+    ("height_profile.burnin",
+     lambda v: sampling.height_profile(SMALL, 1, burnin=v, thinning=1), -1),
+    ("height_profile.thinning",
+     lambda v: sampling.height_profile(SMALL, 1, burnin=0, thinning=v), 0),
+    ("height_profile.seed",
+     lambda v: sampling.height_profile(SMALL, 1, burnin=0, thinning=1, seed=v), -1),
+    ("sample_distribution.num_samples",
+     lambda v: sampling.sample_distribution(ANTICHAIN, v, 1, 0, 0), 0),
+    ("sample_distribution.thinning",
+     lambda v: sampling.sample_distribution(ANTICHAIN, 1, v, 0, 0), 0),
+    ("sample_distribution.burnin",
+     lambda v: sampling.sample_distribution(ANTICHAIN, 1, 1, v, 0), -1),
+    ("sample_distribution.seed",
+     lambda v: sampling.sample_distribution(ANTICHAIN, 1, 1, 0, v), -1),
+    ("sample_linear_extension.steps",
+     lambda v: sampling.sample_linear_extension(ANTICHAIN, v, 0), -1),
+    ("sample_linear_extension.seed",
+     lambda v: sampling.sample_linear_extension(ANTICHAIN, 1, v), -1),
+    ("ExtensionChain.seed", lambda v: sampling.ExtensionChain(ANTICHAIN, v), -1),
+    ("ExtensionChain.run.steps", lambda v: sampling.ExtensionChain(ANTICHAIN, 0).run(v), -1),
+    ("exact_count_sweep.n_max", lambda v: exact_count_sweep(3, 1, 2, v), 0),
+    ("crossover_sweeps.n_max",
+     lambda v: asymptotics.crossover_sweeps(6, 1, 3, 2, 4, v), 0),
+    ("fit --points", _fit_points, -1),
+]
+
+
+@pytest.mark.parametrize("call, value", [
+    pytest.param(call, value, id=f"{name}={value!r}")
+    for name, call, below in ARGUMENTS for value in (True, 2.5, "3", below)])
+def test_integer_arguments_refuse_bad_values(call, value):
+    with pytest.raises(InvalidInputError):
+        call(value)
+
+
+def test_require_int():
+    require_int("k", 3, 3)
+    require_int("k", -2, -5)
+    for bad in (2, 3.0, True, "3", None):
+        with pytest.raises(InvalidInputError, match=r"^k must be an integer >= 3, got "):
+            require_int("k", bad, 3)
