@@ -13,10 +13,17 @@ Everything here is exact; no floating point is used anywhere.  The working
 representation stores integer coefficients c_k of x^k/k!, the
 common-denominator layout with the per-degree factorials folded into the
 basis.  Each kernel pass is then a pure index shift, multiplying by x^s
-scales c_k by (k+s)!/k!, and multiplying by (1-x) is the one-term update
-c'_k = c_k - k c_{k-1}, so every coefficient stays an integer.  One
-generator runs the integration for every public entry point, and a count is
-finalised only for the n a caller keeps.  The slow rational-polynomial route
+scales c_k by the binomial C(k+s, s) (the exact product divided by s!), and
+multiplying by (1-x) is the one-term update c'_k = c_k - k c_{k-1}, so every
+coefficient stays an integer; each chain weight then carries only the
+(m-b)! normalizer.  The mirror shape (m, m+1-b, m+1-a) has the same integral
+(substitute x -> 1-x and reverse the indices), so a single count
+(:func:`exact_count`, :func:`iterated_integral`, :func:`sandwich_check`)
+runs whichever orientation needs fewer (1-x) passes: min(a-1, m-b) per n,
+with the cheap x^s pass taking the larger exponent.  The sweeps
+(:func:`iter_exact_counts`, :func:`exact_count_sweep`) run the shape as
+given.  One generator runs the integration for every public entry point, and
+a count is finalised only for the n a caller keeps.  The slow rational-polynomial route
 lives in the tests as an oracle for this one.  :func:`sandwich_check`
 compares the plain and padded counts: e(P) <= e(Q) <= |Q|^(m-b+a-1) e(P).
 """
@@ -37,13 +44,14 @@ MAX_INTEGRAL_DEGREE = 6000
 
 
 def _times_x_power(lo: int, c: List[int], s: int) -> int:
-    """Multiply by x^s in place and return the new offset.
+    """Multiply by x^s/s! in place and return the new offset.
 
-    (x^k/k!) * x^s = (k+s)!/k! * x^(k+s)/(k+s)!.
+    (x^k/k!) * x^s/s! = C(k+s, s) * x^(k+s)/(k+s)!; the s! is left to the
+    caller's normalizer.
     """
     if s:
         for j in range(len(c)):
-            c[j] *= math.perm(lo + j + s, s)
+            c[j] *= math.comb(lo + j + s, s)
     return lo + s
 
 
@@ -78,14 +86,20 @@ def _check_budget(degree: int) -> None:
             f"{MAX_INTEGRAL_DEGREE}")
 
 
+def _oriented(m: int, a: int, b: int) -> Tuple[int, int]:
+    """(a, b) of whichever mirror orientation has the fewer (1-x) passes."""
+    return (m + 1 - b, m + 1 - a) if m - b > a - 1 else (a, b)
+
+
 def _integrands(m: int, a: int, b: int, v: str) -> Iterator[Tuple[int, List[int]]]:
     """Yield (lo, c) after n = 1, 2, ... kernel passes, end weight applied.
 
     c[j] is the coefficient of x^(lo+j)/(lo+j)!; the low coefficients that
     the kernel shifts and x^(a-1) weights leave at zero are not stored.  The
-    tail sum of the n-th polynomial is the factorial-scaled integral for that
-    n.  c is updated in place when the generator resumes, and the plain
-    variant multiplies by x^(a-1) only then, so stopping at n wastes no work.
+    tail sum of the n-th polynomial, times (a-1)! per x^(a-1) weight, is the
+    factorial-scaled integral for that n.  c is updated in place when the
+    generator resumes, and the plain variant multiplies by x^(a-1) only then,
+    so stopping at n wastes no work.
     """
     c = [1]
     if v == "q":
@@ -125,9 +139,10 @@ def _finalize_count(lo: int, c: Sequence[int], divisor: int) -> int:
     return count
 
 
-def _weight_unit(m: int, a: int, b: int) -> int:
-    """Normalizer (a-1)!(m-b)! of one chain weight."""
-    return math.factorial(a - 1) * math.factorial(m - b)
+def _weight_unit(m: int, b: int) -> int:
+    """Normalizer (m-b)! of one chain weight; the binomial x^s pass already
+    divided out (a-1)!."""
+    return math.factorial(m - b)
 
 
 def _normalize_variant(variant: str) -> str:
@@ -145,7 +160,7 @@ def iter_exact_counts(m: int, a: int, b: int, variant: str = "p") -> Iterator[in
     """
     ClusterParams(m, a, b, 1)  # validate (m, a, b)
     v = _normalize_variant(variant)
-    unit = _weight_unit(m, a, b)
+    unit = _weight_unit(m, b)
     divisor = unit if v == "q" else 1
     for lo, c in _integrands(m, a, b, v):
         divisor *= unit
@@ -159,9 +174,10 @@ def exact_count(params: ClusterParams, variant: str = "p") -> int:
     normalizers; a non-integer result raises InternalConsistencyError.
     """
     v = _normalize_variant(variant)
-    m, a, b, n = params.m, params.a, params.b, params.n
+    m, n = params.m, params.n
+    a, b = _oriented(m, params.a, params.b)
     lo, c = _nth_integrand(m, a, b, n, v)
-    return _finalize_count(lo, c, _weight_unit(m, a, b) ** (n + (v == "q")))
+    return _finalize_count(lo, c, _weight_unit(m, b) ** (n + (v == "q")))
 
 
 def exact_count_sweep(m: int, a: int, b: int, n_max: int,
@@ -184,11 +200,16 @@ def iterated_integral(params: ClusterParams, variant: str = "p") -> Fraction:
     """
     from fractions import Fraction
 
-    m, a, b, n = params.m, params.a, params.b, params.n
-    lo, c = _nth_integrand(m, a, b, n, _normalize_variant(variant))
-    # the x^k/k! basis absorbed one 1/(b-a-1)! per kernel pass; restore it
+    v = _normalize_variant(variant)
+    m, n = params.m, params.n
+    a, b = _oriented(m, params.a, params.b)
+    lo, c = _nth_integrand(m, a, b, n, v)
+    # the x^k/k! basis absorbed one 1/(b-a-1)! per kernel pass, and each
+    # binomial x-weight one 1/(a-1)! = 1/max(a-1, m-b)! of the oriented
+    # shape; restore both
     value = Fraction(_tail_sum(lo, c), math.factorial(lo + len(c)))
-    return value * math.factorial(b - a - 1) ** n
+    return (value * math.factorial(b - a - 1) ** n
+            * math.factorial(a - 1) ** (n + (v == "q")))
 
 
 def sandwich_check(params: ClusterParams) -> bool:

@@ -24,7 +24,7 @@ DIGEST_FILE = Path(__file__).with_name("count_digests.json")
 SWEEP_M_MAX, SWEEP_N_MAX = 8, 60
 INTEGRAL_M_MAX, INTEGRAL_N_MAX = 6, 8
 LARGE = (8, 3, 5, 300)
-SLOW = (20, 5, 12, 300)  # several seconds per variant
+SLOW = (20, 5, 12, 300)  # m-b > a-1: pins the mirrored route at size
 VARIANTS = ("p", "q")
 
 
@@ -82,8 +82,7 @@ def test_iterated_integral_digests(recorded):
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
-@pytest.mark.parametrize("shape", [LARGE, pytest.param(SLOW, marks=pytest.mark.slow)],
-                         ids=lambda shape: _key(*shape))
+@pytest.mark.parametrize("shape", [LARGE, SLOW], ids=lambda shape: _key(*shape))
 def test_count_digests(recorded, shape, variant):
     assert count_digest(*shape, variant) == recorded["counts"][_key(*shape, variant)]
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clusterext import exact_counts
 from clusterext.errors import InvalidInputError
 from clusterext.exact_counts import (exact_count, exact_count_sweep,
                                      iter_exact_counts, iterated_integral)
@@ -15,6 +16,22 @@ from clusterext.posets import (ClusterParams, cluster_poset,
 from oracle import RationalPoly, step_integral
 
 F = Fraction
+
+
+def unoriented(fn, *args):
+    """fn(*args) with the mirror orientation off: the kernel runs (a, b) as given."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exact_counts, "_oriented", lambda m, a, b: (a, b))
+        return fn(*args)
+
+
+def assert_mirror_routes_agree(m, a, b, n, variant):
+    """Both unoriented routes, the shape's and its mirror's, equal the oriented count."""
+    params = ClusterParams(m, a, b, n)
+    mirror = ClusterParams(m, m + 1 - b, m + 1 - a, n)
+    count = exact_count(params, variant)
+    assert unoriented(exact_count, params, variant) == count, (m, a, b, n, variant)
+    assert unoriented(exact_count, mirror, variant) == count, (m, a, b, n, variant)
 
 
 def reference_integral(params, variant):
@@ -83,12 +100,16 @@ def test_iterated_integral_examples():
 
 
 def test_iterated_integral_matches_reference_route():
-    for (m, a, b) in [(3, 1, 2), (4, 1, 3), (4, 2, 3), (5, 2, 4), (5, 1, 4)]:
+    for (m, a, b) in [(3, 1, 2), (4, 1, 3), (4, 2, 3), (5, 2, 4), (5, 1, 4),
+                      (5, 1, 3), (6, 1, 4)]:
         for n in range(1, 4):
             params = ClusterParams(m, a, b, n)
             for variant in ("p", "q"):
-                assert (iterated_integral(params, variant)
-                        == reference_integral(params, variant)), (m, a, b, n, variant)
+                expected = reference_integral(params, variant)
+                assert iterated_integral(params, variant) == expected, \
+                    (m, a, b, n, variant)
+                assert unoriented(iterated_integral, params, variant) == expected, \
+                    (m, a, b, n, variant)
 
 
 def test_exact_count_examples():
@@ -148,9 +169,40 @@ def test_count_equals_normalized_integral():
 def test_exact_count_symmetry():
     for (m, a, b) in [(5, 1, 3), (6, 2, 4), (7, 2, 5), (8, 3, 5)]:
         for n in (1, 2, 5, 11):
-            lhs = exact_count(ClusterParams(m, a, b, n), "p")
-            rhs = exact_count(ClusterParams(m, m + 1 - b, m + 1 - a, n), "p")
-            assert lhs == rhs
+            for variant in ("p", "q"):
+                assert_mirror_routes_agree(m, a, b, n, variant)
+
+
+def test_pass_count_is_the_smaller_exponent(monkeypatch):
+    # the kernel runs min(a-1, m-b) passes of (1-x) per chain weight
+    passes = []
+    kernel = exact_counts._times_one_minus_x
+
+    def counted(lo, c, times):
+        passes.append(times)
+        kernel(lo, c, times)
+
+    monkeypatch.setattr(exact_counts, "_times_one_minus_x", counted)
+
+    def total(m, a, b, n, variant):
+        passes.clear()
+        exact_count(ClusterParams(m, a, b, n), variant)
+        return sum(passes)
+
+    for n in (1, 4, 30):
+        assert total(12, 2, 3, n, "p") == n  # runs as (12, 10, 11), not 9n
+        assert total(12, 2, 3, n, "q") == n + 1
+        assert total(6, 3, 6, n, "p") == total(6, 3, 6, n, "q") == 0
+    # a sweep runs the shape as given
+    passes.clear()
+    exact_count_sweep(12, 2, 3, 4, "p")
+    assert sum(passes) == 9 * 4
+    for m in range(2, 9):
+        for a in range(1, m):
+            for b in range(a + 1, m + 1):
+                low = min(a - 1, m - b)
+                assert total(m, a, b, 3, "p") == 3 * low, (m, a, b)
+                assert total(m, a, b, 3, "q") == 4 * low, (m, a, b)
 
 
 @st.composite
@@ -173,10 +225,7 @@ def test_single_count_sweep_and_generator_agree(shape, variant):
 @settings(max_examples=60, deadline=None)
 @given(shape=shapes(), variant=st.sampled_from("pq"))
 def test_mirror_symmetry_property(shape, variant):
-    m, a, b, n = shape
-    mirror = ClusterParams(m, m + 1 - b, m + 1 - a, n)
-    assert exact_count(ClusterParams(m, a, b, n), variant) == \
-        exact_count(mirror, variant)
+    assert_mirror_routes_agree(*shape, variant)
 
 
 def test_counts_nondecreasing_in_n():
@@ -224,8 +273,12 @@ def test_sweep_validates_shape_before_budget():
 
 
 def test_large_case_budget_and_symmetry():
-    # degree ~ 707 at (8,3,5,100); must run well within a few minutes
-    counts = exact_count_sweep(8, 3, 5, 100, "p")
-    mirror = exact_count_sweep(8, 4, 6, 100, "p")
-    assert counts == mirror
-    assert len(str(counts[-1])) > 900
+    # degree ~ 707 at (8,3,5,100); sweeps run the shape as given, 3 (1-x)
+    # passes per n here and 2 for the mirror, and the single count runs the
+    # oriented 2
+    for variant in ("p", "q"):
+        counts = exact_count_sweep(8, 3, 5, 100, variant)
+        mirror = exact_count_sweep(8, 4, 6, 100, variant)
+        assert counts == mirror
+        assert counts[-1] == exact_count(ClusterParams(8, 3, 5, 100), variant)
+        assert len(str(counts[-1])) > 900
