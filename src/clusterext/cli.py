@@ -110,6 +110,10 @@ def _cluster_params(args) -> posets.ClusterParams:
 def _cmd_count(args) -> _Result:
     params = _cluster_params(args)
     if args.method == "brute":
+        size = params.p_size if args.variant == "p" else params.q_size
+        if size > posets.MAX_BRUTEFORCE_ELEMENTS:  # refuse before building the poset
+            raise ResourceLimitError(f"brute-force counting supports at most "
+                                     f"{posets.MAX_BRUTEFORCE_ELEMENTS} elements")
         poset = (posets.cluster_poset(params) if args.variant == "p"
                  else posets.modified_cluster_poset(params))
         count = posets.count_linear_extensions_bruteforce(poset)

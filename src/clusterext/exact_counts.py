@@ -17,15 +17,14 @@ scales c_k by the binomial C(k+s, s) (the exact product divided by s!), and
 multiplying by (1-x) is the one-term update c'_k = c_k - k c_{k-1}, so every
 coefficient stays an integer; each chain weight then carries only the
 (m-b)! normalizer.  The mirror shape (m, m+1-b, m+1-a) has the same integral
-(substitute x -> 1-x and reverse the indices), so a single count
-(:func:`exact_count`, :func:`iterated_integral`, :func:`sandwich_check`)
-runs whichever orientation needs fewer (1-x) passes: min(a-1, m-b) per n,
-with the cheap x^s pass taking the larger exponent.  The sweeps
-(:func:`iter_exact_counts`, :func:`exact_count_sweep`) run the shape as
-given.  One generator runs the integration for every public entry point, and
-a count is finalised only for the n a caller keeps.  The slow rational-polynomial route
-lives in the tests as an oracle for this one.  :func:`sandwich_check`
-compares the plain and padded counts: e(P) <= e(Q) <= |Q|^(m-b+a-1) e(P).
+(substitute x -> 1-x and reverse the indices), so the kernel runs whichever
+orientation needs fewer (1-x) passes: min(a-1, m-b) per n, with the cheap
+x^s pass taking the larger exponent.  That choice is made in the one
+generator that runs the integration for every public entry point, single
+counts and sweeps alike, and a count is finalised only for the n a caller
+keeps.  The slow rational-polynomial route lives in the tests as an oracle
+for this one.  :func:`sandwich_check` compares the plain and padded counts:
+e(P) <= e(Q) <= |Q|^(m-b+a-1) e(P).
 """
 
 from __future__ import annotations
@@ -91,16 +90,20 @@ def _oriented(m: int, a: int, b: int) -> Tuple[int, int]:
     return (m + 1 - b, m + 1 - a) if m - b > a - 1 else (a, b)
 
 
-def _integrands(m: int, a: int, b: int, v: str) -> Iterator[Tuple[int, List[int]]]:
-    """Yield (lo, c) after n = 1, 2, ... kernel passes, end weight applied.
+def _integrands(m: int, a: int, b: int, v: str) -> Iterator[Tuple[int, List[int], int]]:
+    """Yield (lo, c, divisor) after n = 1, 2, ... kernel passes, end weight applied.
 
-    c[j] is the coefficient of x^(lo+j)/(lo+j)!; the low coefficients that
-    the kernel shifts and x^(a-1) weights leave at zero are not stored.  The
-    tail sum of the n-th polynomial, times (a-1)! per x^(a-1) weight, is the
-    factorial-scaled integral for that n.  c is updated in place when the
-    generator resumes, and the plain variant multiplies by x^(a-1) only then,
-    so stopping at n wastes no work.
+    The shape runs in its cheaper mirror orientation.  c[j] is the
+    coefficient of x^(lo+j)/(lo+j)!; the low coefficients that the kernel
+    shifts and x^(a-1) weights leave at zero are not stored.  The tail sum
+    of the n-th polynomial divided by ``divisor``, the (m-b)! normalizers of
+    the orientation run, is the count for that n.  c is updated in place
+    when the generator resumes, and the plain variant multiplies by x^(a-1)
+    only then, so stopping at n wastes no work.
     """
+    a, b = _oriented(m, a, b)
+    unit = math.factorial(m - b)
+    divisor = unit if v == "q" else 1
     c = [1]
     if v == "q":
         _times_one_minus_x(0, c, m - b)
@@ -117,13 +120,14 @@ def _integrands(m: int, a: int, b: int, v: str) -> Iterator[Tuple[int, List[int]
         if c[-1] == 0 or lo + len(c) - 1 != expected:
             raise InternalConsistencyError(
                 f"working polynomial does not have degree {expected}")
-        yield lo, c
+        divisor *= unit
+        yield lo, c, divisor
         if v == "p":
             lo = _times_x_power(lo, c, a - 1)
 
 
-def _nth_integrand(m: int, a: int, b: int, n: int, v: str) -> Tuple[int, List[int]]:
-    """The n-th (lo, c), with the degree budget checked before any work."""
+def _nth_integrand(m: int, a: int, b: int, n: int, v: str) -> Tuple[int, List[int], int]:
+    """The n-th (lo, c, divisor), with the degree budget checked before any work."""
     _check_budget(_degree(m, a, b, n, v))
     integrands = _integrands(m, a, b, v)
     for _ in range(n - 1):
@@ -139,12 +143,6 @@ def _finalize_count(lo: int, c: Sequence[int], divisor: int) -> int:
     return count
 
 
-def _weight_unit(m: int, b: int) -> int:
-    """Normalizer (m-b)! of one chain weight; the binomial x^s pass already
-    divided out (a-1)!."""
-    return math.factorial(m - b)
-
-
 def _normalize_variant(variant: str) -> str:
     v = str(variant).lower()
     if v not in ("p", "q"):
@@ -157,13 +155,14 @@ def iter_exact_counts(m: int, a: int, b: int, variant: str = "p") -> Iterator[in
 
     The integration state is shared between successive n, so a full sweep to
     n_max costs little more than the single largest evaluation.
+
+    >>> counts = iter_exact_counts(3, 1, 2)
+    >>> [next(counts) for _ in range(4)]
+    [1, 3, 15, 105]
     """
     ClusterParams(m, a, b, 1)  # validate (m, a, b)
     v = _normalize_variant(variant)
-    unit = _weight_unit(m, b)
-    divisor = unit if v == "q" else 1
-    for lo, c in _integrands(m, a, b, v):
-        divisor *= unit
+    for lo, c, divisor in _integrands(m, a, b, v):
         yield _finalize_count(lo, c, divisor)
 
 
@@ -174,10 +173,7 @@ def exact_count(params: ClusterParams, variant: str = "p") -> int:
     normalizers; a non-integer result raises InternalConsistencyError.
     """
     v = _normalize_variant(variant)
-    m, n = params.m, params.n
-    a, b = _oriented(m, params.a, params.b)
-    lo, c = _nth_integrand(m, a, b, n, v)
-    return _finalize_count(lo, c, _weight_unit(m, b) ** (n + (v == "q")))
+    return _finalize_count(*_nth_integrand(params.m, params.a, params.b, params.n, v))
 
 
 def exact_count_sweep(m: int, a: int, b: int, n_max: int,
@@ -201,15 +197,15 @@ def iterated_integral(params: ClusterParams, variant: str = "p") -> Fraction:
     from fractions import Fraction
 
     v = _normalize_variant(variant)
-    m, n = params.m, params.n
-    a, b = _oriented(m, params.a, params.b)
-    lo, c = _nth_integrand(m, a, b, n, v)
-    # the x^k/k! basis absorbed one 1/(b-a-1)! per kernel pass, and each
-    # binomial x-weight one 1/(a-1)! = 1/max(a-1, m-b)! of the oriented
-    # shape; restore both
+    m, a, b, n = params.m, params.a, params.b, params.n
+    lo, c, divisor = _nth_integrand(m, a, b, n, v)
+    # the x^k/k! basis absorbed one 1/(b-a-1)! per kernel pass, and each x^s
+    # pass one 1/s! with s the larger of a-1 and m-b; the divisor holds the
+    # smaller one's factorials, so this needs no orientation: b-a and the
+    # multiset {a-1, m-b} are the same in either
+    weights = (math.factorial(a - 1) * math.factorial(m - b)) ** (n + (v == "q"))
     value = Fraction(_tail_sum(lo, c), math.factorial(lo + len(c)))
-    return (value * math.factorial(b - a - 1) ** n
-            * math.factorial(a - 1) ** (n + (v == "q")))
+    return value * math.factorial(b - a - 1) ** n * (weights // divisor)
 
 
 def sandwich_check(params: ClusterParams) -> bool:

@@ -202,14 +202,11 @@ def _sweep(m: int, n_max: int) -> Tuple[Dict[Pattern, Dict[int, int]], ...]:
     if m > MAX_CLASSIFY_LENGTH:
         raise ResourceLimitError(
             f"occurrence sweeps supported for m <= {MAX_CLASSIFY_LENGTH} once n_max >= m")
-    pats = list(_permutations(range(1, m + 1)))
-    index = {p: i for i, p in enumerate(pats)}
     tails = list(_permutations(range(1, m)))
     tail_index = {t: i for i, t in enumerate(tails)}
-    # window[s][j]: the window made of tail pattern s and a new entry above
+    # window w = s*m + j: tail pattern s (lex rank) and a new entry above
     # exactly j of its entries; suffix[w]: the tail pattern window w leaves
-    window = [[index[tuple(v + (v > j) for v in t) + (j + 1,)] for j in range(m)]
-              for t in tails]
+    pats = [tuple(v + (v > j) for v in t) + (j + 1,) for t in tails for j in range(m)]
     suffix = [tail_index[tuple(v - (v > p[0]) for v in p[1:])] for p in pats]
     count = [0] * len(pats)  # occurrences of each window on the current branch
     # first[d][w, c]: the depth-d nodes whose new window w is its c-th occurrence
@@ -218,16 +215,16 @@ def _sweep(m: int, n_max: int) -> Tuple[Dict[Pattern, Dict[int, int]], ...]:
     def visit(d: int, tail: Pattern, s: int) -> None:
         # tail: the last m-1 entries of a permutation in S_d; s: its pattern
         cuts = (0, *sorted(tail), d + 1)
-        row, tally = window[s], first[d + 1]
+        base, tally = s * m, first[d + 1]
         if d + 1 == n_max:  # the children are leaves: tally them only
             for j in range(m):
-                key = (row[j], count[row[j]] + 1)
+                key = (base + j, count[base + j] + 1)
                 tally[key] = tally.get(key, 0) + cuts[j + 1] - cuts[j]
             return
         rest = tail[1:]
         for j in range(m):
             lo, hi = cuts[j], cuts[j + 1]
-            w = row[j]
+            w = base + j
             c = count[w] = count[w] + 1
             tally[w, c] = tally.get((w, c), 0) + hi - lo
             # the ranks r in (lo, hi] sit above exactly j tail entries
@@ -236,7 +233,8 @@ def _sweep(m: int, n_max: int) -> Tuple[Dict[Pattern, Dict[int, int]], ...]:
             count[w] = c - 1
 
     # half the roots (see the module docstring); the complement of window w
-    # is m! - 1 - w, since complement reverses the lexicographic order
+    # is m! - 1 - w, since complement reverses the lex order of the tails
+    # and maps j to m - 1 - j
     half = m >= 3
     for s, tail in enumerate(tails):
         if not half or tail[0] < tail[1]:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from clusterext import cli, profiles, sampling
+from clusterext import cli, posets, profiles, sampling
 from clusterext.exact_counts import exact_count
 from clusterext.posets import ClusterParams
 
@@ -331,6 +331,18 @@ def test_resource_errors_exit_3(monkeypatch):
     status, out = run_cli("profile", "--m", "8", "--a", "3", "--b", "5",
                           "--points", str(profiles.MAX_PROFILE_POINTS + 1))
     assert status == 3 and out == ""
+
+
+def test_over_cap_brute_count_exits_3_before_building(monkeypatch):
+    def fail(*args):
+        raise AssertionError("a poset was built")
+
+    monkeypatch.setattr(posets, "_glued_chains", fail)
+    for variant in ("p", "q"):
+        status, out = run_cli("count", "--m", "3", "--a", "1", "--b", "2",
+                              "--n", "1000000000", "--variant", variant,
+                              "--method", "brute")
+        assert status == 3 and out == ""
 
 
 def test_nonconvergence_exits_4(monkeypatch):

@@ -26,12 +26,16 @@ def unoriented(fn, *args):
 
 
 def assert_mirror_routes_agree(m, a, b, n, variant):
-    """Both unoriented routes, the shape's and its mirror's, equal the oriented count."""
-    params = ClusterParams(m, a, b, n)
-    mirror = ClusterParams(m, m + 1 - b, m + 1 - a, n)
-    count = exact_count(params, variant)
-    assert unoriented(exact_count, params, variant) == count, (m, a, b, n, variant)
-    assert unoriented(exact_count, mirror, variant) == count, (m, a, b, n, variant)
+    """Both unoriented routes, the shape's and its mirror's, equal the oriented
+    count and the oriented sweep."""
+    count = exact_count(ClusterParams(m, a, b, n), variant)
+    sweep = exact_count_sweep(m, a, b, n, variant)
+    assert sweep[-1] == count, (m, a, b, n, variant)
+    for shape in ((a, b), (m + 1 - b, m + 1 - a)):
+        assert unoriented(exact_count, ClusterParams(m, *shape, n), variant) == count, \
+            (m, shape, n, variant)
+        assert unoriented(exact_count_sweep, m, *shape, n, variant) == sweep, \
+            (m, shape, n, variant)
 
 
 def reference_integral(params, variant):
@@ -174,7 +178,8 @@ def test_exact_count_symmetry():
 
 
 def test_pass_count_is_the_smaller_exponent(monkeypatch):
-    # the kernel runs min(a-1, m-b) passes of (1-x) per chain weight
+    # the kernel runs min(a-1, m-b) passes of (1-x) per chain weight, for
+    # single counts and sweeps alike
     passes = []
     kernel = exact_counts._times_one_minus_x
 
@@ -184,25 +189,26 @@ def test_pass_count_is_the_smaller_exponent(monkeypatch):
 
     monkeypatch.setattr(exact_counts, "_times_one_minus_x", counted)
 
-    def total(m, a, b, n, variant):
+    def total(m, a, b, n, variant, sweep=False):
         passes.clear()
-        exact_count(ClusterParams(m, a, b, n), variant)
+        if sweep:
+            exact_count_sweep(m, a, b, n, variant)
+        else:
+            exact_count(ClusterParams(m, a, b, n), variant)
         return sum(passes)
 
     for n in (1, 4, 30):
         assert total(12, 2, 3, n, "p") == n  # runs as (12, 10, 11), not 9n
         assert total(12, 2, 3, n, "q") == n + 1
         assert total(6, 3, 6, n, "p") == total(6, 3, 6, n, "q") == 0
-    # a sweep runs the shape as given
-    passes.clear()
-    exact_count_sweep(12, 2, 3, 4, "p")
-    assert sum(passes) == 9 * 4
+    assert total(12, 2, 3, 4, "p", sweep=True) == 4
     for m in range(2, 9):
         for a in range(1, m):
             for b in range(a + 1, m + 1):
                 low = min(a - 1, m - b)
-                assert total(m, a, b, 3, "p") == 3 * low, (m, a, b)
-                assert total(m, a, b, 3, "q") == 4 * low, (m, a, b)
+                for sweep in (False, True):
+                    assert total(m, a, b, 3, "p", sweep) == 3 * low, (m, a, b, sweep)
+                    assert total(m, a, b, 3, "q", sweep) == 4 * low, (m, a, b, sweep)
 
 
 @st.composite
@@ -273,12 +279,11 @@ def test_sweep_validates_shape_before_budget():
 
 
 def test_large_case_budget_and_symmetry():
-    # degree ~ 707 at (8,3,5,100); sweeps run the shape as given, 3 (1-x)
-    # passes per n here and 2 for the mirror, and the single count runs the
-    # oriented 2
+    # degree ~ 707 at (8,3,5,100); the oriented sweep runs the mirror's 2
+    # (1-x) passes per n, the unoriented shape runs 3
     for variant in ("p", "q"):
         counts = exact_count_sweep(8, 3, 5, 100, variant)
-        mirror = exact_count_sweep(8, 4, 6, 100, variant)
-        assert counts == mirror
+        assert unoriented(exact_count_sweep, 8, 3, 5, 100, variant) == counts
+        assert unoriented(exact_count_sweep, 8, 4, 6, 100, variant) == counts
         assert counts[-1] == exact_count(ClusterParams(8, 3, 5, 100), variant)
         assert len(str(counts[-1])) > 900
