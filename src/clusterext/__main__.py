@@ -1,0 +1,6 @@
+"""``python -m clusterext``: the ``clusterext`` command line."""
+
+from .cli import main
+
+if __name__ == "__main__":
+    main()

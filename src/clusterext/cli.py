@@ -7,6 +7,7 @@ consistency failure.  Output formats: human table (default), csv, json.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -266,68 +267,65 @@ def _cmd_check(out) -> int:
     return 0 if failures == 0 else CONSISTENCY_ERROR
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="clusterext",
-        description="Exact and asymptotic linear-extension counts for "
-                    "glued-chain posets, limit profiles, MCMC height "
-                    "experiments, and consecutive-pattern equivalence evidence.")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _add_mab(p, with_n=False):
+    p.add_argument("--m", type=int, required=True, help="chain length m")
+    p.add_argument("--a", type=int, required=True, help="lower glue position a")
+    p.add_argument("--b", type=int, required=True, help="upper glue position b")
+    if with_n:
+        p.add_argument("--n", type=int, required=True, help="number of chains n")
 
-    def add_mab(p, with_n=False):
-        p.add_argument("--m", type=int, required=True, help="chain length m")
-        p.add_argument("--a", type=int, required=True, help="lower glue position a")
-        p.add_argument("--b", type=int, required=True, help="upper glue position b")
-        if with_n:
-            p.add_argument("--n", type=int, required=True, help="number of chains n")
 
-    def add_format(p):
-        p.add_argument("--format", choices=("table", "csv", "json"),
-                       default="table", help="output format (default: table)")
+def _add_format(p):
+    p.add_argument("--format", choices=("table", "csv", "json"),
+                   default="table", help="output format (default: table)")
 
-    p = sub.add_parser("count", help="number of linear extensions")
-    add_mab(p, with_n=True)
+
+def _count_args(p):
+    _add_mab(p, with_n=True)
     p.add_argument("--variant", choices=("p", "q"), default="p",
                    help="plain (p) or boundary-padded (q) poset (default: p)")
     p.add_argument("--method", choices=("exact", "brute"), default="exact",
                    help="integral method or brute-force oracle (default: exact)")
-    add_format(p)
+    _add_format(p)
     p.set_defaults(func=_cmd_count)
 
-    p = sub.add_parser("constant", help="asymptotic growth constant")
-    add_mab(p)
-    add_format(p)
+
+def _constant_args(p):
+    _add_mab(p)
+    _add_format(p)
     p.set_defaults(func=_cmd_constant)
 
-    p = sub.add_parser("fit", help="empirical growth-constant estimates over n")
-    add_mab(p)
+
+def _fit_args(p):
+    _add_mab(p)
     p.add_argument("--n-max", type=int, default=50, help="largest n (default: 50)")
     p.add_argument("--points", type=int, default=0,
                    help="subsample to this many evenly spaced n values, "
                         "always keeping n_max (default: 0, all)")
-    add_format(p)
+    _add_format(p)
     p.set_defaults(func=_cmd_fit)
 
-    p = sub.add_parser("compare",
-                       help="crossover search between two parameter pairs")
-    add_mab(p)
+
+def _compare_args(p):
+    _add_mab(p)
     p.add_argument("--a2", type=int, required=True, help="second pair's a")
     p.add_argument("--b2", type=int, required=True, help="second pair's b")
     p.add_argument("--n-max", type=int, default=50, help="largest n (default: 50)")
-    add_format(p)
+    _add_format(p)
     p.set_defaults(func=_cmd_compare)
 
-    p = sub.add_parser("profile", help="limit profile table (t, f, fprime)")
-    add_mab(p)
+
+def _profile_args(p):
+    _add_mab(p)
     p.add_argument("--points", type=int, default=1000,
                    help="grid size (default: 1000)")
-    add_format(p)
+    _add_format(p)
     p.add_argument("--svg", metavar="PATH", help="write a static SVG plot")
     p.set_defaults(func=_cmd_profile)
 
-    p = sub.add_parser("sample",
-                       help="MCMC mean heights of the glue elements")
-    add_mab(p, with_n=True)
+
+def _sample_args(p):
+    _add_mab(p, with_n=True)
     p.add_argument("--samples", type=int, default=200,
                    help="recorded draws (default: 200)")
     p.add_argument("--burnin", type=int, default=None,
@@ -335,30 +333,67 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--thinning", type=int, default=None,
                    help="steps between draws (default: |P|^2)")
     p.add_argument("--seed", type=int, default=0, help="RNG seed (default: 0)")
-    add_format(p)
+    _add_format(p)
     p.add_argument("--svg", metavar="PATH", help="write a static SVG plot")
     p.set_defaults(func=_cmd_sample)
 
-    p = sub.add_parser("classify",
-                       help="equivalence-evidence classes of S_m patterns")
+
+def _classify_args(p):
     p.add_argument("--m", type=int, required=True, help="pattern length m")
     p.add_argument("--n-max", type=int, default=7,
                    help="evidence horizon (default: 7)")
     p.add_argument("--weak", action="store_true",
                    help="compare avoider counts only")
-    add_format(p)
+    _add_format(p)
     p.set_defaults(func=_cmd_classify)
 
-    sub.add_parser("check", help="run the quick invariant suite")
 
+def _check_args(p):
+    """``check`` takes no arguments."""
+
+
+# name -> (help line, argument builder), in the order the help lists them
+_COMMANDS = {
+    "count": ("number of linear extensions", _count_args),
+    "constant": ("asymptotic growth constant", _constant_args),
+    "fit": ("empirical growth-constant estimates over n", _fit_args),
+    "compare": ("crossover search between two parameter pairs", _compare_args),
+    "profile": ("limit profile table (t, f, fprime)", _profile_args),
+    "sample": ("MCMC mean heights of the glue elements", _sample_args),
+    "classify": ("equivalence-evidence classes of S_m patterns", _classify_args),
+    "check": ("run the quick invariant suite", _check_args),
+}
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The argument parser, with every subcommand or only ``command``'s.
+
+    A parser for one known ``command`` parses that command's argv to the
+    same namespace, and prints the same usage and errors, as the full one;
+    it skips building the other subcommands' arguments.
+    """
+    parser = argparse.ArgumentParser(
+        prog="clusterext",
+        description="Exact and asymptotic linear-extension counts for "
+                    "glued-chain posets, limit profiles, MCMC height "
+                    "experiments, and consecutive-pattern equivalence evidence.")
+    # one command's parser takes the full parser's metavar, so usage lines and
+    # errors match; the full parser keeps "command" for its missing-command error
+    metavar = {} if command is None else {"metavar": "{" + ",".join(_COMMANDS) + "}"}
+    sub = parser.add_subparsers(dest="command", required=True, **metavar)
+    for name in _COMMANDS if command is None else (command,):
+        help_line, add_arguments = _COMMANDS[name]
+        add_arguments(sub.add_parser(name, help=help_line))
     return parser
 
 
 def run(argv: Optional[Sequence[str]] = None, out=None) -> int:
     out = out if out is not None else sys.stdout
-    parser = build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
     try:
-        args = parser.parse_args(argv)
+        with contextlib.redirect_stdout(out):  # --help goes to out
+            args = build_parser(command).parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     # counts are bounded by MAX_INTEGRAL_DEGREE, not by the str() digit limit

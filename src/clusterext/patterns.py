@@ -239,6 +239,7 @@ def _sweep(m: int, n_max: int) -> Tuple[Dict[Pattern, Dict[int, int]], ...]:
     for s, tail in enumerate(tails):
         if not half or tail[0] < tail[1]:
             visit(m - 1, tail, s)
+    del visit  # it refers to itself: free the branch tables now, not at a full gc
     # at_least[w][c-1]: the depth-n nodes with at least c occurrences of w;
     # each depth-(n-1) node has n children, which inherit its counts
     at_least: List[List[int]] = [[] for _ in pats]

@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import math
@@ -289,10 +290,15 @@ print(json.dumps(report))
 """
 
 
-def test_integer_commands_do_not_import_numpy():
+def _checkout_env():
+    """os.environ, with this checkout's src first on PYTHONPATH."""
     paths = [str(Path(__file__).resolve().parents[1] / "src"),
              os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+
+
+def test_integer_commands_do_not_import_numpy():
+    env = _checkout_env()
     done = subprocess.run(
         [sys.executable, "-c", FRESH_PROCESS,
          json.dumps([INTEGER_REQUESTS, NUMPY_REQUESTS])],
@@ -312,6 +318,78 @@ def test_usage_errors_exit_2():
     assert run_cli("definitely-not-a-command")[0] == 2
     assert run_cli("count", "--m", "3", "--a", "1", "--b", "2", "--n", "1",
                    "--method", "bogus")[0] == 2
+
+
+def test_help_goes_to_out(capsys):
+    status, out = run_cli("-h")
+    assert status == 0
+    assert out.startswith("usage: clusterext [-h]")
+    assert all(name in out for name in cli._COMMANDS)
+    status, out = run_cli("count", "--help")
+    assert status == 0
+    assert out.startswith("usage: clusterext count [-h] --m M")
+    assert capsys.readouterr() == ("", "")
+
+
+def _parse(command, argv):
+    """What a parser makes of argv: the namespace, or the exit and its output."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return cli.build_parser(command).parse_args(argv)
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+
+
+PARITY_ARGV = (
+    [key.split() for key in
+     json.loads(Path(__file__).with_name("cli_digests.json").read_text())]
+    + [[], ["-h"]] + [[name, "--help"] for name in cli._COMMANDS]
+    + [["definitely-not-a-command"], ["--bogus", "count"],
+       ["classify", "--m", "3", "--bogus"],
+       ["count", "--m", "3", "--a", "1", "--b", "2"],
+       ["fit", "--m", "3", "--a", "1", "--b", "x"],
+       ["count", "--m", "3", "--a", "1", "--b", "2", "--n", "1",
+        "--method", "bogus"]])
+
+
+@pytest.mark.parametrize("argv", PARITY_ARGV, ids=" ".join)
+def test_one_command_parser_matches_full_parser(argv):
+    full = _parse(None, argv)
+    if argv and argv[0] in cli._COMMANDS:
+        assert _parse(argv[0], argv) == full
+    if isinstance(full, tuple):  # run prints what the full parser prints
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            status, out = run_cli(*argv)
+        assert (status, out, err.getvalue()) == full
+
+
+def test_full_parser_names_the_missing_command():
+    status, _, err = _parse(None, [])
+    assert status == 2 and err.endswith("required: command\n")
+
+
+def test_run_builds_only_the_named_subcommand(monkeypatch):
+    def fail(parser):
+        raise AssertionError("another subcommand's arguments were built")
+
+    for name, (help_line, _) in list(cli._COMMANDS.items()):
+        if name != "classify":
+            monkeypatch.setitem(cli._COMMANDS, name, (help_line, fail))
+    status, out = run_cli("classify", "--m", "4", "--n-max", "6")
+    assert status == 0 and out.startswith("strong evidence up to n=6")
+
+
+def test_module_entry_point_matches_run(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # the help's line width, in both
+    env = _checkout_env()
+    for argv in (["classify", "--m", "3", "--n-max", "6", "--format", "csv"],
+                 ["count", "--help"], ["count", "--m", "3"]):
+        done = subprocess.run([sys.executable, "-m", "clusterext", *argv],
+                              capture_output=True, text=True, env=env,
+                              timeout=60)
+        assert (done.returncode, done.stdout) == run_cli(*argv), argv
 
 
 def test_resource_errors_exit_3(monkeypatch):

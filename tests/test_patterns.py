@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 from fractions import Fraction
@@ -204,6 +205,20 @@ def test_orbit_histograms_are_shared_but_cannot_leak():
     for q in orbit:
         assert patterns.occurrence_histogram(q, n).counts == want, q
     assert patterns._sweep.cache_info().misses == 1  # the same cached sweep
+
+
+def test_sweep_frees_its_tables_without_the_cycle_collector():
+    # a table left in a reference cycle waits for a full collection, so
+    # in-process callers of cli.run would hold every cleared sweep's tables
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        patterns._sweep.__wrapped__(5, 7)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @pytest.mark.parametrize("m", [0, -2, 3.0, True, False, "3", None])
