@@ -26,8 +26,7 @@ load it.
 
 from .asymptotics import (AsymptoticConstant, constant_concavity, constant_gap,
                           crossover_search, crossover_sweeps, empirical_constant,
-                          growth_constant, log_beta, log_gamma, log_integer,
-                          trigamma)
+                          growth_constant, log_beta, log_integer, trigamma)
 from .errors import (DegenerateParameterError, DomainError,
                      InternalConsistencyError, InvalidInputError,
                      ResourceLimitError)

@@ -6,9 +6,9 @@ and log-beta values.  This module evaluates that constant, certifies the
 strict ordering of constants for parameter pairs with the same gap b - a,
 and fits the constant empirically from exact integer counts.
 
-log_gamma and trigamma are implemented directly (argument shift plus a
-Stirling-type tail) so the package carries no numeric dependency here; the
-tests cross-check them against independent references.
+log-gamma is the stdlib's math.lgamma.  The stdlib has no trigamma, so it
+is implemented directly (argument shift plus an asymptotic tail); the tests
+cross-check log_beta and trigamma against independent references.
 """
 
 from __future__ import annotations
@@ -21,17 +21,6 @@ from .errors import DomainError, InternalConsistencyError, InvalidInputError
 from .exact_counts import exact_count, exact_count_sweep
 from .posets import ClusterParams
 
-# Stirling correction coefficients B_2k / (2k (2k-1)), k = 1..7
-_STIRLING = (
-    1.0 / 12.0,
-    -1.0 / 360.0,
-    1.0 / 1260.0,
-    -1.0 / 1680.0,
-    1.0 / 1188.0,
-    -691.0 / 360360.0,
-    1.0 / 156.0,
-)
-
 # Bernoulli numbers B_2k, k = 1..7, for the trigamma tail
 _TRIGAMMA_TAIL = (
     1.0 / 6.0,
@@ -43,34 +32,12 @@ _TRIGAMMA_TAIL = (
     7.0 / 6.0,
 )
 
-_HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
-
-
-def log_gamma(x: float) -> float:
-    """Natural log of the gamma function for x > 0.
-
-    Shifts the argument above 8 with log Gamma(x) = log Gamma(x+1) - log x,
-    then applies the Stirling series with seven correction terms.
-    """
-    if x <= 0:
-        raise DomainError(f"log_gamma requires x > 0, got {x}")
-    shift = 0.0
-    while x < 8.0:
-        shift += math.log(x)
-        x += 1.0
-    inv = 1.0 / x
-    inv2 = inv * inv
-    tail = 0.0
-    for coeff in reversed(_STIRLING):
-        tail = tail * inv2 + coeff
-    return (x - 0.5) * math.log(x) - x + _HALF_LOG_TWO_PI + tail * inv - shift
-
 
 def log_beta(alpha: float, beta: float) -> float:
     """log B(alpha, beta) = log Gamma(alpha) + log Gamma(beta) - log Gamma(alpha+beta)."""
     if alpha <= 0 or beta <= 0:
         raise DomainError("log_beta requires strictly positive arguments")
-    return log_gamma(alpha) + log_gamma(beta) - log_gamma(alpha + beta)
+    return math.lgamma(alpha) + math.lgamma(beta) - math.lgamma(alpha + beta)
 
 
 def trigamma(x: float) -> float:
@@ -116,7 +83,7 @@ def growth_constant(m: int, a: int, b: int) -> AsymptoticConstant:
     d = params.d
     value = (d * log_beta(*params.shape)
              - log_beta(float(a), float(m - b + 1))
-             - log_gamma(float(m - b + a + 1))
+             - math.lgamma(m - b + a + 1)
              + (m - 1) * math.log(m - 1)
              - d * math.log(d)
              - m + b - a + 1)

@@ -236,7 +236,9 @@ def count_linear_extensions_bruteforce(poset: FinitePoset) -> int:
         memo[mask] = total
         return total
 
-    return count((1 << n) - 1)
+    total = count((1 << n) - 1)
+    del count  # it refers to itself: free the memo now, not at a full gc
+    return total
 
 
 def poset_to_dot(poset: FinitePoset, name: str = "poset") -> str:

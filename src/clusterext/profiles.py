@@ -37,8 +37,9 @@ _CF_TINY = 1e-300
 _CF_MAX_ITER = 600
 _PROFILE_MAX_ITER = 80
 
-#: Largest profile_table grid.  A point costs 0.04-0.21 ms on one core of a
-#: 2-vCPU Xeon VM, depending on the shape, so the cap is at most about 20 s.
+#: Largest profile_table grid.  A point costs 0.03-0.6 ms on one core of a
+#: 2-vCPU Xeon VM (3 <= m <= 40; cheapest at a = 1, b = m, dearest at m = 40
+#: with b - a = 1), so the cap is at most about 60 s.
 MAX_PROFILE_POINTS = 10 ** 5
 
 #: Minimum tabulation size accepted for the general variational problem.
@@ -162,18 +163,12 @@ def limit_profile_slope(m: int, a: int, b: int, t: float) -> float:
     diverges at t = 0 when a > 1 and at t = 1 when b < m.
     """
     bval = beta_value(m, a, b)
-    if not 0.0 <= t <= 1.0:
-        raise DomainError(f"t must lie in [0, 1], got {t}")
-    d = b - a
-    if t == 0.0:
-        return bval if a == 1 else math.inf
-    if t == 1.0:
-        return bval if b == m else math.inf
-    f = limit_profile(m, a, b, t)
+    f = limit_profile(m, a, b, t)  # exactly 0.0 at t = 0 and 1.0 at t = 1
     if f <= 0.0:
         return bval if a == 1 else math.inf
     if f >= 1.0:
         return bval if b == m else math.inf
+    d = b - a
     return bval * math.exp(-(a - 1) / d * math.log(f)
                            - (m - b) / d * math.log1p(-f))
 
@@ -189,6 +184,14 @@ def slope_argmin(m: int, a: int, b: int) -> float:
         raise DegenerateParameterError(
             "slope is constant for a = 1, b = m; no interior minimum")
     return weight_cdf(m, a, b, (a - 1) / params.leading)
+
+
+def _slope_minimum(m: int, a: int, b: int) -> float:
+    """slope_argmin, or 0.0 in the constant-slope corner a = 1, b = m."""
+    try:
+        return slope_argmin(m, a, b)
+    except DegenerateParameterError:
+        return 0.0
 
 
 @dataclass(frozen=True)
@@ -224,11 +227,7 @@ def profile_table(m: int, a: int, b: int, grid_size: int = 1000) -> ProfileTable
     grid = np.linspace(0.0, 1.0, grid_size + 1)
     values = np.array([limit_profile(m, a, b, t) for t in grid])
     slopes = np.array([limit_profile_slope(m, a, b, t) for t in grid])
-    try:
-        lam = slope_argmin(m, a, b)
-    except DegenerateParameterError:
-        lam = 0.0
-    return ProfileTable(m, a, b, grid, values, slopes, lam)
+    return ProfileTable(m, a, b, grid, values, slopes, _slope_minimum(m, a, b))
 
 
 @dataclass(frozen=True)
@@ -299,11 +298,7 @@ def profile_increment_bounds(m: int, a: int, b: int,
     two points with y_1 - y_0 small.)  The comparison runs in log space
     (the products underflow for long sequences) with the given slack.
     """
-    try:
-        lam = slope_argmin(m, a, b)
-    except DegenerateParameterError:
-        lam = 0.0
-    log_min_slope = math.log(limit_profile_slope(m, a, b, lam))
+    log_min_slope = math.log(limit_profile_slope(m, a, b, _slope_minimum(m, a, b)))
     for seq in sequences:
         y = [float(v) for v in seq]
         if len(y) < 2:

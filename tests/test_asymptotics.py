@@ -10,29 +10,24 @@ from clusterext.exact_counts import exact_count, exact_count_sweep
 from clusterext.posets import ClusterParams
 
 
-def test_log_gamma_spot_values():
-    assert asymptotics.log_gamma(1.0) == pytest.approx(0.0, abs=1e-14)
-    assert asymptotics.log_gamma(2.0) == pytest.approx(0.0, abs=1e-14)
-    assert asymptotics.log_gamma(0.5) == pytest.approx(math.log(math.sqrt(math.pi)),
-                                                       abs=1e-13)
+def test_log_beta_against_mpmath():
+    # every argument pair log_beta gets from a shape with m <= 40: the weight
+    # shape and growth_constant's (a, m - b + 1), against 200-bit loggamma
+    import mpmath
 
-
-def test_log_gamma_against_stdlib():
-    # absolute 1e-12 up to moderate arguments; a few ulp relative beyond
-    # (logGamma(1e4) ~ 8.2e4 has ulp ~ 1.5e-11, so pure absolute 1e-12 is
-    # unrepresentable there)
-    for x in np.concatenate([np.linspace(0.5, 40, 500),
-                             np.geomspace(40, 1e4, 100)]):
-        mine = asymptotics.log_gamma(float(x))
-        ref = math.lgamma(float(x))
-        assert abs(mine - ref) <= 1e-12 + 4e-16 * abs(ref), x
-
-
-def test_log_gamma_domain():
-    with pytest.raises(DomainError):
-        asymptotics.log_gamma(0.0)
-    with pytest.raises(DomainError):
-        asymptotics.log_gamma(-1.5)
+    pairs = set()
+    for m in range(2, 41):
+        for a in range(1, m):
+            for b in range(a + 1, m + 1):
+                pairs.add(ClusterParams(m, a, b, 1).shape)
+                pairs.add((float(a), float(m - b + 1)))
+    with mpmath.workprec(200):
+        for alpha, beta in sorted(pairs):
+            x, y = mpmath.mpf(alpha), mpmath.mpf(beta)
+            ref = float(mpmath.loggamma(x) + mpmath.loggamma(y)
+                        - mpmath.loggamma(x + y))
+            err = asymptotics.log_beta(alpha, beta) - ref
+            assert abs(err) <= 1e-14 * max(1.0, abs(ref)), (alpha, beta, err)
 
 
 def test_log_beta():
@@ -40,8 +35,9 @@ def test_log_beta():
     for alpha, beta in [(0.5, 0.5), (1, 7), (2.5, 3.5), (10, 0.7)]:
         assert (asymptotics.log_beta(alpha, beta)
                 == pytest.approx(asymptotics.log_beta(beta, alpha), abs=1e-13))
-    with pytest.raises(DomainError):
-        asymptotics.log_beta(0.0, 1.0)
+    for alpha, beta in [(0.0, 1.0), (1.0, 0.0), (-1.5, 2.0)]:
+        with pytest.raises(DomainError):
+            asymptotics.log_beta(alpha, beta)
 
 
 def test_trigamma_spot_values():

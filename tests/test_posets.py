@@ -1,4 +1,5 @@
 import ast
+import gc
 import hashlib
 import math
 from pathlib import Path
@@ -150,6 +151,21 @@ def test_bruteforce_counts_basic():
 def test_bruteforce_antichain_factorials():
     for k in range(0, 9):
         assert count_linear_extensions_bruteforce(antichain(k)) == math.factorial(k)
+
+
+def test_bruteforce_frees_its_memo_without_the_cycle_collector():
+    # a memo left in a reference cycle waits for a full collection, so
+    # in-process callers of cli.run would hold every count's memo
+    poset = cluster_poset(ClusterParams(4, 2, 3, 5))
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        count_linear_extensions_bruteforce(poset)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_bruteforce_resource_limit():

@@ -117,6 +117,18 @@ def test_slope_endpoint_divergences():
     assert limit_profile_slope(3, 2, 3, 1.0) == pytest.approx(0.5)
     assert limit_profile_slope(4, 1, 4, 0.0) == pytest.approx(1.0)
     assert limit_profile_slope(4, 1, 4, 1.0) == pytest.approx(1.0)
+    for m, a, b in ALL_PARAMS_M8:
+        bval = beta_value(m, a, b)
+        assert limit_profile_slope(m, a, b, 0.0) == (bval if a == 1 else math.inf)
+        assert limit_profile_slope(m, a, b, 1.0) == (bval if b == m else math.inf)
+
+
+@pytest.mark.parametrize("t", [-0.1, 1.5, math.nan])
+def test_profile_and_slope_refuse_t_outside_the_unit_interval(t):
+    with pytest.raises(DomainError):
+        limit_profile(8, 3, 5, t)
+    with pytest.raises(DomainError):
+        limit_profile_slope(8, 3, 5, t)
 
 
 def test_slope_argmin_values():
