@@ -35,8 +35,8 @@ _TRIGAMMA_TAIL = (
 
 def log_beta(alpha: float, beta: float) -> float:
     """log B(alpha, beta) = log Gamma(alpha) + log Gamma(beta) - log Gamma(alpha+beta)."""
-    if alpha <= 0 or beta <= 0:
-        raise DomainError("log_beta requires strictly positive arguments")
+    if not (0.0 < alpha < math.inf and 0.0 < beta < math.inf):
+        raise DomainError("log_beta requires finite, strictly positive arguments")
     return math.lgamma(alpha) + math.lgamma(beta) - math.lgamma(alpha + beta)
 
 
@@ -46,7 +46,7 @@ def trigamma(x: float) -> float:
     Uses the recurrence to shift the argument above 10, then the asymptotic
     tail 1/x + 1/(2x^2) + sum B_2k / x^(2k+1).
     """
-    if x <= 0:
+    if not x > 0:
         raise DomainError(f"trigamma requires x > 0, got {x}")
     acc = 0.0
     while x < 10.0:
@@ -97,7 +97,7 @@ def constant_concavity(t: float, d: int) -> float:
     the t-dependent part of the growth constant along fixed gap d, and its
     negativity is what makes the constant strictly concave in the glue position.
     """
-    if t < 0:
+    if not t >= 0:
         raise DomainError(f"need t >= 0, got {t}")
     if d < 2:
         raise DomainError(f"need d >= 2, got {d}")

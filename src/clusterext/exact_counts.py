@@ -22,14 +22,16 @@ orientation needs fewer (1-x) passes: min(a-1, m-b) per n, with the cheap
 x^s pass taking the larger exponent.  That choice is made in the one
 generator that runs the integration for every public entry point, single
 counts and sweeps alike, and a count is finalised only for the n a caller
-keeps.  The slow rational-polynomial route lives in the tests as an oracle
-for this one.  :func:`sandwich_check` compares the plain and padded counts:
-e(P) <= e(Q) <= |Q|^(m-b+a-1) e(P).
+keeps.  :func:`iterated_integral` is read off the count, so no other
+function knows the orientation or the divisor.  The slow rational-polynomial
+route lives in the tests as an oracle for this one.  :func:`sandwich_check`
+compares the plain and padded counts: e(P) <= e(Q) <= |Q|^(m-b+a-1) e(P).
 """
 
 from __future__ import annotations
 
 import math
+from itertools import islice
 from typing import TYPE_CHECKING, Iterator, List, Sequence, Tuple
 
 from .errors import InternalConsistencyError, InvalidInputError, ResourceLimitError
@@ -73,16 +75,15 @@ def _tail_sum(lo: int, c: Sequence[int]) -> int:
     return acc
 
 
-def _degree(m: int, a: int, b: int, n: int, v: str) -> int:
-    """Degree of the n-th integrand; the padded variant adds one chain weight."""
-    return (m - 1) * n + ((a - 1) + (m - b) if v == "q" else 0)
-
-
-def _check_budget(degree: int) -> None:
+def _checked_degree(m: int, a: int, b: int, n: int, v: str) -> int:
+    """Degree of the n-th integrand, refused if it is over the cap; the
+    padded variant adds one chain weight."""
+    degree = (m - 1) * n + ((a - 1) + (m - b) if v == "q" else 0)
     if degree > MAX_INTEGRAL_DEGREE:
         raise ResourceLimitError(
             f"iterated integral degree {degree} exceeds the cap "
             f"{MAX_INTEGRAL_DEGREE}")
+    return degree
 
 
 def _oriented(m: int, a: int, b: int) -> Tuple[int, int]:
@@ -111,8 +112,7 @@ def _integrands(m: int, a: int, b: int, v: str) -> Iterator[Tuple[int, List[int]
     n = 0
     while True:
         n += 1
-        expected = _degree(m, a, b, n, v)
-        _check_budget(expected)
+        expected = _checked_degree(m, a, b, n, v)
         lo += b - a
         _times_one_minus_x(lo, c, m - b)
         if v == "q":
@@ -124,15 +124,6 @@ def _integrands(m: int, a: int, b: int, v: str) -> Iterator[Tuple[int, List[int]
         yield lo, c, divisor
         if v == "p":
             lo = _times_x_power(lo, c, a - 1)
-
-
-def _nth_integrand(m: int, a: int, b: int, n: int, v: str) -> Tuple[int, List[int], int]:
-    """The n-th (lo, c, divisor), with the degree budget checked before any work."""
-    _check_budget(_degree(m, a, b, n, v))
-    integrands = _integrands(m, a, b, v)
-    for _ in range(n - 1):
-        next(integrands)
-    return next(integrands)
 
 
 def _finalize_count(lo: int, c: Sequence[int], divisor: int) -> int:
@@ -173,7 +164,9 @@ def exact_count(params: ClusterParams, variant: str = "p") -> int:
     normalizers; a non-integer result raises InternalConsistencyError.
     """
     v = _normalize_variant(variant)
-    return _finalize_count(*_nth_integrand(params.m, params.a, params.b, params.n, v))
+    m, a, b, n = params.m, params.a, params.b, params.n
+    _checked_degree(m, a, b, n, v)
+    return _finalize_count(*next(islice(_integrands(m, a, b, v), n - 1, None)))
 
 
 def exact_count_sweep(m: int, a: int, b: int, n_max: int,
@@ -181,9 +174,9 @@ def exact_count_sweep(m: int, a: int, b: int, n_max: int,
     """Exact counts for n = 1..n_max, sharing the integration state."""
     ClusterParams(m, a, b, n_max)  # validate the shape before the degree budget
     v = _normalize_variant(variant)
-    _check_budget(_degree(m, a, b, n_max, v))
-    it = iter_exact_counts(m, a, b, v)
-    return [next(it) for _ in range(n_max)]
+    _checked_degree(m, a, b, n_max, v)
+    integrands = islice(_integrands(m, a, b, v), n_max)
+    return [_finalize_count(*state) for state in integrands]
 
 
 def iterated_integral(params: ClusterParams, variant: str = "p") -> Fraction:
@@ -192,20 +185,16 @@ def iterated_integral(params: ClusterParams, variant: str = "p") -> Fraction:
     For the padded variant this is the integral over x_0 < ... < x_n of
     prod x_i^(a-1) (1-x_i)^(m-b) * prod (x_{i+1}-x_i)^(b-a-1); the plain
     variant drops the (1-x)^(m-b) factor at index 0 and the x^(a-1) factor
-    at index n.
+    at index n.  It is computed as exact_count * normalizers / |P|!.
     """
     from fractions import Fraction
 
     v = _normalize_variant(variant)
     m, a, b, n = params.m, params.a, params.b, params.n
-    lo, c, divisor = _nth_integrand(m, a, b, n, v)
-    # the x^k/k! basis absorbed one 1/(b-a-1)! per kernel pass, and each x^s
-    # pass one 1/s! with s the larger of a-1 and m-b; the divisor holds the
-    # smaller one's factorials, so this needs no orientation: b-a and the
-    # multiset {a-1, m-b} are the same in either
-    weights = (math.factorial(a - 1) * math.factorial(m - b)) ** (n + (v == "q"))
-    value = Fraction(_tail_sum(lo, c), math.factorial(lo + len(c)))
-    return value * math.factorial(b - a - 1) ** n * (weights // divisor)
+    normalizers = (math.factorial(b - a - 1) ** n
+                   * (math.factorial(a - 1) * math.factorial(m - b)) ** (n + (v == "q")))
+    size = params.q_size if v == "q" else params.p_size
+    return Fraction(exact_count(params, v) * normalizers, math.factorial(size))
 
 
 def sandwich_check(params: ClusterParams) -> bool:

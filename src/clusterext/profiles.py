@@ -36,6 +36,7 @@ _CF_EPS = 1e-16
 _CF_TINY = 1e-300
 _CF_MAX_ITER = 600
 _PROFILE_MAX_ITER = 80
+_BOUND_SLACK = 1e-9  # log-space tolerance of profile_increment_bounds
 
 #: Largest profile_table grid.  A point costs 0.03-0.6 ms on one core of a
 #: 2-vCPU Xeon VM (3 <= m <= 40; cheapest at a = 1, b = m, dearest at m = 40
@@ -80,8 +81,8 @@ def _beta_cf(alpha: float, beta: float, x: float) -> float:
 
 def regularized_incomplete_beta(alpha: float, beta: float, x: float) -> float:
     """I_x(alpha, beta), accurate to about 1e-13 absolute for moderate shapes."""
-    if alpha <= 0 or beta <= 0:
-        raise DomainError("shape parameters must be strictly positive")
+    if not (0.0 < alpha < math.inf and 0.0 < beta < math.inf):
+        raise DomainError("shape parameters must be finite and strictly positive")
     if not 0.0 <= x <= 1.0:
         raise DomainError(f"x must lie in [0, 1], got {x}")
     if x == 0.0:
@@ -249,8 +250,8 @@ class VariationalProblem:
         if w.ndim != 1 or len(w) < MIN_TABLE_POINTS:
             raise InvalidInputError(
                 f"weight tabulation needs >= {MIN_TABLE_POINTS} points")
-        if np.any(w < 0) or np.any(w[1:-1] <= 0):
-            raise DomainError("weight must be positive on the interior of [0, 1]")
+        if not (np.all(np.isfinite(w)) and np.all(w >= 0) and np.all(w[1:-1] > 0)):
+            raise DomainError("weight must be finite, and positive on (0, 1)")
         if not self.exponent >= 0:
             raise DomainError("exponent must be >= 0")
 
@@ -279,8 +280,7 @@ def variational_profile(problem: VariationalProblem,
 
 
 def profile_increment_bounds(m: int, a: int, b: int,
-                             sequences: Sequence[Sequence[float]],
-                             slack: float = 1e-9) -> bool:
+                             sequences: Sequence[Sequence[float]]) -> bool:
     """Check the two-sided product bound for each increasing sequence in (0,1).
 
     By the mean value theorem each increment value(y_{i+1}) - value(y_i)
@@ -296,14 +296,14 @@ def profile_increment_bounds(m: int, a: int, b: int,
     the upper side may drop the first gap because every gap is below 1.
     (A lower bound with the first gap dropped as well would be false: take
     two points with y_1 - y_0 small.)  The comparison runs in log space
-    (the products underflow for long sequences) with the given slack.
+    (the products underflow for long sequences) with a slack of 1e-9.
     """
     log_min_slope = math.log(limit_profile_slope(m, a, b, _slope_minimum(m, a, b)))
     for seq in sequences:
         y = [float(v) for v in seq]
         if len(y) < 2:
             raise InvalidInputError("each sequence needs at least two points")
-        if y[0] <= 0.0 or y[-1] >= 1.0 or any(s >= t for s, t in zip(y, y[1:])):
+        if not (0.0 < y[0] and y[-1] < 1.0 and all(s < t for s, t in zip(y, y[1:]))):
             raise InvalidInputError(
                 "sequences must be strictly increasing inside (0, 1)")
         values = [limit_profile(m, a, b, v) for v in y]
@@ -315,6 +315,6 @@ def profile_increment_bounds(m: int, a: int, b: int,
         lower = (log_min_slope - log_slopes[0] - log_slopes[-1]
                  + sum(log_gaps))
         upper = -log_min_slope + sum(log_gaps[1:])
-        if not (lower <= mid + slack and mid <= upper + slack):
+        if not (lower <= mid + _BOUND_SLACK and mid <= upper + _BOUND_SLACK):
             return False
     return True

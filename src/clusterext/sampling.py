@@ -5,10 +5,10 @@ the adjacent pair there when the two elements are incomparable.  The walk is
 lazy (aperiodic), irreducible on the set of linear extensions, and symmetric,
 so its stationary distribution is uniform.  Mixing is governed by the known
 cubic bound for this chain, hence the default burn-in of |P|^3 ln |P| steps
-and thinning of |P|^2 steps between recorded samples.  A
-:func:`height_profile` or :func:`sample_distribution` request over
-``MAX_CHAIN_STEPS`` steps or ``MAX_CHAIN_ELEMENTS`` elements raises
-:class:`ResourceLimitError` before any chain is built.
+and thinning of |P|^2 steps between recorded samples.  Each sampling
+function refuses a request over ``MAX_CHAIN_STEPS`` steps or
+``MAX_CHAIN_ELEMENTS`` elements with :class:`ResourceLimitError` before any
+chain is built.
 
 Each step takes one integer from a PCG64 stream, drawn in chunks of at most
 2^15 per :meth:`ExtensionChain.run` call; its low bit is the lazy coin.  The
@@ -56,6 +56,18 @@ def default_thinning(size: int) -> int:
     return max(1, size * size)
 
 
+def _check_size(size: int) -> None:
+    if size > MAX_CHAIN_ELEMENTS:
+        raise ResourceLimitError(
+            f"sampling supports posets of at most {MAX_CHAIN_ELEMENTS} elements")
+
+
+def _check_steps(steps: int, what: str) -> None:
+    if steps > MAX_CHAIN_STEPS:
+        raise ResourceLimitError(
+            f"{what} exceeds the cap of {MAX_CHAIN_STEPS} chain steps")
+
+
 def _budget(size: int, samples: int, burnin: Optional[int],
             thinning: Optional[int]) -> Tuple[int, int]:
     """Validate a sampling request, fill in the default (burnin, thinning)
@@ -65,17 +77,12 @@ def _budget(size: int, samples: int, burnin: Optional[int],
         require_int("burnin", burnin, 0)
     if thinning is not None:
         require_int("thinning", thinning, 1)
-    if size > MAX_CHAIN_ELEMENTS:
-        raise ResourceLimitError(
-            f"sampling supports posets of at most {MAX_CHAIN_ELEMENTS} elements")
+    _check_size(size)
     if burnin is None:
         burnin = default_burnin(size)
     if thinning is None:
         thinning = default_thinning(size)
-    if burnin + samples * thinning > MAX_CHAIN_STEPS:
-        raise ResourceLimitError(
-            f"burn-in + samples * thinning exceeds the cap of {MAX_CHAIN_STEPS} "
-            f"chain steps")
+    _check_steps(burnin + samples * thinning, "burn-in + samples * thinning")
     return burnin, thinning
 
 
@@ -138,6 +145,9 @@ def sample_linear_extension(poset: FinitePoset, steps: int,
 
     Returns element indices in order; deterministic given (poset, steps, seed).
     """
+    require_int("steps", steps, 0)
+    _check_steps(steps, "steps")
+    _check_size(len(poset))
     chain = ExtensionChain(poset, seed)
     chain.run(steps)
     return chain.state()

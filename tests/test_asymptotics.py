@@ -35,7 +35,9 @@ def test_log_beta():
     for alpha, beta in [(0.5, 0.5), (1, 7), (2.5, 3.5), (10, 0.7)]:
         assert (asymptotics.log_beta(alpha, beta)
                 == pytest.approx(asymptotics.log_beta(beta, alpha), abs=1e-13))
-    for alpha, beta in [(0.0, 1.0), (1.0, 0.0), (-1.5, 2.0)]:
+    for alpha, beta in [(0.0, 1.0), (1.0, 0.0), (-1.5, 2.0), (math.nan, 1.0),
+                        (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf),
+                        (-math.inf, 1.0)]:
         with pytest.raises(DomainError):
             asymptotics.log_beta(alpha, beta)
 
@@ -50,8 +52,10 @@ def test_trigamma_against_scipy():
     for x in np.linspace(0.05, 60, 400):
         assert (asymptotics.trigamma(float(x))
                 == pytest.approx(float(polygamma(1, float(x))), abs=1e-10))
-    with pytest.raises(DomainError):
-        asymptotics.trigamma(0.0)
+    for x in (0.0, -1.0, math.nan, -math.inf):
+        with pytest.raises(DomainError):
+            asymptotics.trigamma(x)
+    assert asymptotics.trigamma(math.inf) == 0.0  # the true limit
 
 
 def test_growth_constant_hand_values():
@@ -105,8 +109,9 @@ def test_constant_concavity_values():
     assert asymptotics.constant_concavity(5.0, 3) < 0
     with pytest.raises(DomainError):
         asymptotics.constant_concavity(1.0, 1)
-    with pytest.raises(DomainError):
-        asymptotics.constant_concavity(-0.1, 2)
+    for t in (-0.1, math.nan):
+        with pytest.raises(DomainError):
+            asymptotics.constant_concavity(t, 2)
 
 
 def test_constant_unimodal_in_glue_position():

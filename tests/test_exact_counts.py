@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clusterext import exact_counts
-from clusterext.errors import InvalidInputError
+from clusterext.errors import InternalConsistencyError, InvalidInputError
 from clusterext.exact_counts import (exact_count, exact_count_sweep,
                                      iter_exact_counts, iterated_integral)
 from clusterext.posets import (ClusterParams, cluster_poset,
@@ -114,6 +114,15 @@ def test_iterated_integral_matches_reference_route():
                     (m, a, b, n, variant)
                 assert unoriented(iterated_integral, params, variant) == expected, \
                     (m, a, b, n, variant)
+
+
+def test_iterated_integral_checks_integrality(monkeypatch):
+    # the raw integral is read off the exact count, so a kernel fault that
+    # leaves a non-integer count is refused, not returned as a fraction
+    tail_sum = exact_counts._tail_sum
+    monkeypatch.setattr(exact_counts, "_tail_sum", lambda lo, c: tail_sum(lo, c) + 1)
+    with pytest.raises(InternalConsistencyError):
+        iterated_integral(ClusterParams(8, 3, 5, 4), "p")
 
 
 def test_exact_count_examples():

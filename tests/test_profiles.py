@@ -60,10 +60,12 @@ def test_limit_profile_cap_is_loud(monkeypatch):
 
 
 def test_incomplete_beta_domain():
-    with pytest.raises(DomainError):
-        regularized_incomplete_beta(0.0, 1.0, 0.5)
-    with pytest.raises(DomainError):
-        regularized_incomplete_beta(1.0, 1.0, 1.5)
+    # NaN and infinite shapes fail the guard, not the continued fraction
+    for alpha, beta, x in [(0.0, 1.0, 0.5), (1.0, 1.0, 1.5), (math.nan, 1.0, 0.5),
+                           (1.0, math.nan, 0.5), (math.inf, 1.0, 0.5),
+                           (1.0, math.inf, 0.0), (1.0, 1.0, math.nan)]:
+        with pytest.raises(DomainError):
+            regularized_incomplete_beta(alpha, beta, x)
 
 
 def test_weight_cdf_endpoints_and_closed_form():
@@ -226,6 +228,14 @@ def test_variational_validation():
         VariationalProblem(bad, 1.0)
     with pytest.raises(DomainError):
         VariationalProblem(np.ones(1001), -0.5)
+    for value in (math.nan, math.inf):
+        for index in (0, 500):
+            bad = np.ones(1001)
+            bad[index] = value
+            with pytest.raises(DomainError):
+                VariationalProblem(bad, 1.0)
+    with pytest.raises(DomainError):
+        VariationalProblem(np.ones(1001), math.nan)
     # endpoint zeros are fine (weights vanishing at 0 and 1)
     u = np.linspace(0, 1, 1001)
     VariationalProblem(u * (1 - u), 1.0)
@@ -267,6 +277,9 @@ def test_increment_bounds_validation():
         profile_increment_bounds(8, 3, 5, [[0.7, 0.3]])
     with pytest.raises(InvalidInputError):
         profile_increment_bounds(8, 3, 5, [[0.0, 0.5]])
+    for seq in ([math.nan, 0.5], [0.2, math.nan, 0.5], [0.2, math.nan]):
+        with pytest.raises(InvalidInputError):
+            profile_increment_bounds(8, 3, 5, [seq])
 
 
 def test_polynomial_lower_bound_witness():

@@ -104,8 +104,14 @@ def test_over_budget_requests_are_refused_before_sampling(monkeypatch):
     with pytest.raises(ResourceLimitError):
         sample_distribution(antichain(sampling.MAX_CHAIN_ELEMENTS + 1), 1,
                             thinning=1, burnin=0, seed=0)
+    with pytest.raises(ResourceLimitError):
+        sample_linear_extension(antichain(3), cap + 1, seed=0)
+    with pytest.raises(ResourceLimitError):
+        sample_linear_extension(antichain(sampling.MAX_CHAIN_ELEMENTS + 1), 1, seed=0)
     with pytest.raises(InvalidInputError):  # bad input is reported first
         height_profile(ClusterParams(9, 1, 2, 10 ** 30), samples=1, burnin=-1)
+    with pytest.raises(InvalidInputError, match="^steps "):
+        sample_linear_extension(antichain(sampling.MAX_CHAIN_ELEMENTS + 1), -1, seed=0)
     # non-int counts, bool included, are refused before the default budget runs
     for bad in ({"samples": 2.5}, {"samples": True}, {"samples": 1, "burnin": 10.0},
                 {"samples": 1, "thinning": 3.0}, {"samples": 1, "burnin": False},
@@ -128,6 +134,8 @@ def test_budget_at_the_cap_is_accepted(monkeypatch):
     cap = sampling.MAX_CHAIN_STEPS
     with pytest.raises(_ChainBuilt):
         sample_distribution(antichain(3), 1, thinning=1, burnin=cap - 1, seed=0)
+    with pytest.raises(_ChainBuilt):
+        sample_linear_extension(antichain(sampling.MAX_CHAIN_ELEMENTS), cap, seed=0)
     with pytest.raises(_ChainBuilt):
         height_profile(ClusterParams(8, 3, 5, 10), samples=200)  # the slow diagnostic
 
