@@ -275,25 +275,12 @@ def _add_mab(p, with_n=False):
         p.add_argument("--n", type=int, required=True, help="number of chains n")
 
 
-def _add_format(p):
-    p.add_argument("--format", choices=("table", "csv", "json"),
-                   default="table", help="output format (default: table)")
-
-
 def _count_args(p):
     _add_mab(p, with_n=True)
     p.add_argument("--variant", choices=("p", "q"), default="p",
                    help="plain (p) or boundary-padded (q) poset (default: p)")
     p.add_argument("--method", choices=("exact", "brute"), default="exact",
                    help="integral method or brute-force oracle (default: exact)")
-    _add_format(p)
-    p.set_defaults(func=_cmd_count)
-
-
-def _constant_args(p):
-    _add_mab(p)
-    _add_format(p)
-    p.set_defaults(func=_cmd_constant)
 
 
 def _fit_args(p):
@@ -302,8 +289,6 @@ def _fit_args(p):
     p.add_argument("--points", type=int, default=0,
                    help="subsample to this many evenly spaced n values, "
                         "always keeping n_max (default: 0, all)")
-    _add_format(p)
-    p.set_defaults(func=_cmd_fit)
 
 
 def _compare_args(p):
@@ -311,17 +296,13 @@ def _compare_args(p):
     p.add_argument("--a2", type=int, required=True, help="second pair's a")
     p.add_argument("--b2", type=int, required=True, help="second pair's b")
     p.add_argument("--n-max", type=int, default=50, help="largest n (default: 50)")
-    _add_format(p)
-    p.set_defaults(func=_cmd_compare)
 
 
 def _profile_args(p):
     _add_mab(p)
     p.add_argument("--points", type=int, default=1000,
                    help="grid size (default: 1000)")
-    _add_format(p)
     p.add_argument("--svg", metavar="PATH", help="write a static SVG plot")
-    p.set_defaults(func=_cmd_profile)
 
 
 def _sample_args(p):
@@ -333,9 +314,7 @@ def _sample_args(p):
     p.add_argument("--thinning", type=int, default=None,
                    help="steps between draws (default: |P|^2)")
     p.add_argument("--seed", type=int, default=0, help="RNG seed (default: 0)")
-    _add_format(p)
     p.add_argument("--svg", metavar="PATH", help="write a static SVG plot")
-    p.set_defaults(func=_cmd_sample)
 
 
 def _classify_args(p):
@@ -344,24 +323,20 @@ def _classify_args(p):
                    help="evidence horizon (default: 7)")
     p.add_argument("--weak", action="store_true",
                    help="compare avoider counts only")
-    _add_format(p)
-    p.set_defaults(func=_cmd_classify)
 
 
-def _check_args(p):
-    """``check`` takes no arguments."""
-
-
-# name -> (help line, argument builder), in the order the help lists them
+# name -> (help line, argument builder, handler) in help order; check has neither
 _COMMANDS = {
-    "count": ("number of linear extensions", _count_args),
-    "constant": ("asymptotic growth constant", _constant_args),
-    "fit": ("empirical growth-constant estimates over n", _fit_args),
-    "compare": ("crossover search between two parameter pairs", _compare_args),
-    "profile": ("limit profile table (t, f, fprime)", _profile_args),
-    "sample": ("MCMC mean heights of the glue elements", _sample_args),
-    "classify": ("equivalence-evidence classes of S_m patterns", _classify_args),
-    "check": ("run the quick invariant suite", _check_args),
+    "count": ("number of linear extensions", _count_args, _cmd_count),
+    "constant": ("asymptotic growth constant", _add_mab, _cmd_constant),
+    "fit": ("empirical growth-constant estimates over n", _fit_args, _cmd_fit),
+    "compare": ("crossover search between two parameter pairs", _compare_args,
+                _cmd_compare),
+    "profile": ("limit profile table (t, f, fprime)", _profile_args, _cmd_profile),
+    "sample": ("MCMC mean heights of the glue elements", _sample_args, _cmd_sample),
+    "classify": ("equivalence-evidence classes of S_m patterns", _classify_args,
+                 _cmd_classify),
+    "check": ("run the quick invariant suite", None, None),
 }
 
 
@@ -382,8 +357,12 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     metavar = {} if command is None else {"metavar": "{" + ",".join(_COMMANDS) + "}"}
     sub = parser.add_subparsers(dest="command", required=True, **metavar)
     for name in _COMMANDS if command is None else (command,):
-        help_line, add_arguments = _COMMANDS[name]
-        add_arguments(sub.add_parser(name, help=help_line))
+        help_line, add_arguments, handler = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_line)
+        if handler is not None:
+            add_arguments(p)
+            p.add_argument("--format", choices=("table", "csv", "json"),
+                           default="table", help="output format (default: table)")
     return parser
 
 
@@ -400,9 +379,10 @@ def run(argv: Optional[Sequence[str]] = None, out=None) -> int:
     max_digits = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        if args.command == "check":
+        handler = _COMMANDS[args.command][2]
+        if handler is None:
             return _cmd_check(out)
-        _emit(args.format, args.func(args), out)
+        _emit(args.format, handler(args), out)
         return 0
     except (InvalidInputError, DomainError, DegenerateParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)

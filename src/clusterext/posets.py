@@ -12,6 +12,7 @@ nothing from the package but its exceptions.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, Iterable, List, Sequence, Tuple
@@ -66,7 +67,7 @@ class ClusterParams:
 class FinitePoset:
     """Immutable finite poset given by labeled elements and cover relations.
 
-    Covers are pairs of element indices (x, y) meaning x is covered by y.
+    Covers are pairs of int element indices (x, y) meaning x is covered by y.
     Construction validates acyclicity; the full order relation is derived
     lazily as bitmask up-sets.
     """
@@ -78,13 +79,16 @@ class FinitePoset:
         n = len(self.labels)
         if len(set(self.labels)) != n:
             raise InvalidInputError("element labels must be distinct")
-        cov = sorted(set((int(x), int(y)) for x, y in covers))
-        for x, y in cov:
-            if not (0 <= x < n and 0 <= y < n):
+        cov = set()
+        for x, y in covers:
+            require_int("cover index", x, 0)
+            require_int("cover index", y, 0)
+            if not (x < n and y < n):
                 raise InvalidInputError(f"cover ({x},{y}) out of range")
             if x == y:
                 raise InvalidInputError(f"self-loop at element {x}")
-        self.covers: Tuple[Tuple[int, int], ...] = tuple(cov)
+            cov.add((x, y))
+        self.covers: Tuple[Tuple[int, int], ...] = tuple(sorted(cov))
         self._index: Dict[str, int] = {lab: i for i, lab in enumerate(self.labels)}
         self.topological_order()  # raises on cycles
 
@@ -241,11 +245,25 @@ def count_linear_extensions_bruteforce(poset: FinitePoset) -> int:
     return total
 
 
+_DOT_ID = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_DOT_KEYWORDS = {"digraph", "edge", "graph", "node", "strict", "subgraph"}
+
+
 def poset_to_dot(poset: FinitePoset, name: str = "poset") -> str:
-    """Hasse diagram as DOT text (edges point from lower to upper covers)."""
+    """Hasse diagram as DOT text (edges point from lower to upper covers).
+
+    ``name`` must be a plain DOT identifier, ``[A-Za-z_][A-Za-z0-9_]*`` and
+    not a DOT keyword, or InvalidInputError is raised; labels are quoted
+    with ``\\`` and ``"`` escaped.
+    """
+    if (not (isinstance(name, str) and _DOT_ID.fullmatch(name))
+            or name.lower() in _DOT_KEYWORDS):
+        raise InvalidInputError(
+            f"graph name must be a plain DOT identifier, got {name!r}")
     lines = [f"digraph {name} {{", "  rankdir=BT;"]
     for i, lab in enumerate(poset.labels):
-        lines.append(f'  n{i} [label="{lab}"];')
+        quoted = str(lab).replace("\\", "\\\\").replace('"', '\\"')
+        lines.append(f'  n{i} [label="{quoted}"];')
     for x, y in poset.covers:
         lines.append(f"  n{x} -> n{y};")
     lines.append("}")

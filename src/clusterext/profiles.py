@@ -38,9 +38,11 @@ _CF_MAX_ITER = 600
 _PROFILE_MAX_ITER = 80
 _BOUND_SLACK = 1e-9  # log-space tolerance of profile_increment_bounds
 
-#: Largest profile_table grid.  A point costs 0.03-0.6 ms on one core of a
-#: 2-vCPU Xeon VM (3 <= m <= 40; cheapest at a = 1, b = m, dearest at m = 40
-#: with b - a = 1), so the cap is at most about 60 s.
+#: Largest output grid of profile_table and of variational_profile.  A
+#: profile_table point costs 0.03-0.6 ms on one core of a 2-vCPU Xeon VM
+#: (3 <= m <= 40; cheapest at a = 1, b = m, dearest at m = 40 with
+#: b - a = 1), so the cap is at most about 60 s; a variational_profile point
+#: is one interpolation, and the cap bounds its output arrays.
 MAX_PROFILE_POINTS = 10 ** 5
 
 #: Minimum tabulation size accepted for the general variational problem.
@@ -213,16 +215,20 @@ class ProfileTable:
     slope_minimum: float
 
 
+def _check_grid_size(grid_size: int) -> None:
+    require_int("grid_size", grid_size, 2)
+    if grid_size > MAX_PROFILE_POINTS:
+        raise ResourceLimitError(f"grid_size {grid_size} exceeds the cap of "
+                                 f"{MAX_PROFILE_POINTS} points")
+
+
 def profile_table(m: int, a: int, b: int, grid_size: int = 1000) -> ProfileTable:
     """Tabulate the limit profile and its slope on grid_size + 1 points.
 
     A grid_size above MAX_PROFILE_POINTS raises ResourceLimitError before
     any point is evaluated.
     """
-    require_int("grid_size", grid_size, 2)
-    if grid_size > MAX_PROFILE_POINTS:
-        raise ResourceLimitError(f"grid_size {grid_size} exceeds the cap of "
-                                 f"{MAX_PROFILE_POINTS} points")
+    _check_grid_size(grid_size)
     import numpy as np
 
     grid = np.linspace(0.0, 1.0, grid_size + 1)
@@ -264,8 +270,10 @@ def variational_profile(problem: VariationalProblem,
     the normalized cumulative integral of h^(1/(beta+1)), computed by
     trapezoidal accumulation on the tabulation grid and piecewise-linear
     inverse interpolation; accuracy therefore scales with the density of the
-    supplied tabulation.
+    supplied tabulation.  A grid_size above MAX_PROFILE_POINTS raises
+    ResourceLimitError before any array is allocated.
     """
+    _check_grid_size(grid_size)
     import numpy as np
 
     w = problem.weights ** (1.0 / (problem.exponent + 1.0))

@@ -374,11 +374,42 @@ def test_run_builds_only_the_named_subcommand(monkeypatch):
     def fail(parser):
         raise AssertionError("another subcommand's arguments were built")
 
-    for name, (help_line, _) in list(cli._COMMANDS.items()):
+    for name, (help_line, _, handler) in list(cli._COMMANDS.items()):
         if name != "classify":
-            monkeypatch.setitem(cli._COMMANDS, name, (help_line, fail))
+            monkeypatch.setitem(cli._COMMANDS, name, (help_line, fail, handler))
     status, out = run_cli("classify", "--m", "4", "--n-max", "6")
     assert status == 0 and out.startswith("strong evidence up to n=6")
+
+
+# the required arguments of each subcommand that prints a _Result
+REQUIRED_ARGV = {
+    "count": "--m 3 --a 1 --b 2 --n 2",
+    "constant": "--m 3 --a 1 --b 2",
+    "fit": "--m 3 --a 1 --b 2",
+    "compare": "--m 3 --a 1 --b 2 --a2 1 --b2 3",
+    "profile": "--m 3 --a 1 --b 2",
+    "sample": "--m 3 --a 1 --b 2 --n 2",
+    "classify": "--m 3",
+}
+
+
+def test_command_table_drives_format_and_handler(monkeypatch):
+    assert sorted(REQUIRED_ARGV) == sorted(
+        name for name, (_, _, handler) in cli._COMMANDS.items() if handler)
+    for name, required in REQUIRED_ARGV.items():
+        argv = [name, *required.split(), "--format", "json"]
+        assert cli.build_parser(name).parse_args(argv).format == "json"
+        assert cli.build_parser().parse_args(argv).format == "json"
+    assert run_cli("check", "--format", "json")[0] == 2
+
+    help_line, add_arguments, _ = cli._COMMANDS["constant"]
+    stub = cli._Result({"stub": True}, ("k",), [(1,)], footer="end")
+    monkeypatch.setitem(cli._COMMANDS, "constant",
+                        (help_line, add_arguments, lambda args: stub))
+    argv = ["constant", *REQUIRED_ARGV["constant"].split()]
+    assert run_cli(*argv, "--format", "json") == (0, '{"stub": true}\n')
+    assert run_cli(*argv, "--format", "csv") == (0, "k\n1\n")
+    assert run_cli(*argv) == (0, "k\n1\nend\n")
 
 
 def test_module_entry_point_matches_run(monkeypatch):

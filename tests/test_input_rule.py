@@ -16,7 +16,7 @@ def _fit_points(v):
     args = cli.build_parser().parse_args(
         ["fit", "--m", "3", "--a", "1", "--b", "2", "--n-max", "3"])
     args.points = v
-    args.func(args)
+    cli._COMMANDS["fit"][2](args)
 
 
 # (argument, call with the value under test, a value just below its range)
@@ -31,6 +31,9 @@ ARGUMENTS = [
     ("evidence_classes.n_max", lambda v: patterns.evidence_classes(3, v), 0),
     ("nonoverlapping_fraction.m", patterns.nonoverlapping_fraction, 1),
     ("profile_table.grid_size", lambda v: profiles.profile_table(3, 1, 2, v), 1),
+    ("variational_profile.grid_size",
+     lambda v: profiles.variational_profile(
+         profiles.VariationalProblem([1.0] * 1001, 1.0), v), 1),
     ("height_profile.samples",
      lambda v: sampling.height_profile(SMALL, v, burnin=0, thinning=1), 0),
     ("height_profile.burnin",

@@ -178,6 +178,16 @@ def test_cycle_detection():
         FinitePoset(["x", "y", "z"], [(0, 1), (1, 2), (2, 0)])
     with pytest.raises(InvalidInputError):
         FinitePoset(["x"], [(0, 0)])
+    for cover in ((-1, 0), (0, 2)):
+        with pytest.raises(InvalidInputError):
+            FinitePoset(["x", "y"], [cover])
+
+
+@pytest.mark.parametrize("cover", [(0.9, 1), (0, 1.0), (True, 0), (False, 1),
+                                   ("0", 1)])
+def test_cover_indices_are_checked_ints(cover):
+    with pytest.raises(InvalidInputError):
+        FinitePoset(["a", "b"], [cover])
 
 
 def test_updown_symmetry_counts():
@@ -212,6 +222,17 @@ def test_dot_export():
     assert dot.count("->") == len(poset.covers)
     assert 'label="A(1,1)"' in dot
     assert dot.endswith("}\n")
+
+
+def test_dot_export_escapes_labels_and_refuses_bad_names():
+    poset = FinitePoset(['say "hi"', "C:\\tmp"], [(0, 1)])
+    dot = poset_to_dot(poset, name="my_poset")
+    assert dot.startswith("digraph my_poset {")
+    assert '  n0 [label="say \\"hi\\""];' in dot
+    assert '  n1 [label="C:\\\\tmp"];' in dot
+    for bad in ("my poset", "1st", "", "a-b", "graph", "Node", None):
+        with pytest.raises(InvalidInputError):
+            poset_to_dot(poset, name=bad)
 
 
 def test_less_matrix_matches_strict_upsets():

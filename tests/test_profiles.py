@@ -180,6 +180,19 @@ def test_profile_grid_over_cap_is_refused_before_any_point(monkeypatch):
             profile_table(8, 3, 5, bad)
 
 
+def test_variational_grid_over_cap_is_refused_before_any_array(monkeypatch):
+    problem = VariationalProblem(np.ones(1001), 1.0)
+    t, j = variational_profile(problem, profiles.MAX_PROFILE_POINTS)
+    assert len(t) == len(j) == profiles.MAX_PROFILE_POINTS + 1
+
+    def fail(*args, **kwargs):
+        raise AssertionError("an output array was allocated")
+
+    monkeypatch.setattr(np, "linspace", fail)
+    with pytest.raises(ResourceLimitError):
+        variational_profile(problem, profiles.MAX_PROFILE_POINTS + 1)
+
+
 def test_variational_constant_weight_is_identity():
     t, j = variational_profile(VariationalProblem(np.ones(1001), 2.0), 1000)
     assert np.max(np.abs(j - t)) <= 1e-12
