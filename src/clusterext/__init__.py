@@ -30,8 +30,8 @@ from .asymptotics import (AsymptoticConstant, constant_concavity, constant_gap,
 from .errors import (DegenerateParameterError, DomainError,
                      InternalConsistencyError, InvalidInputError,
                      ResourceLimitError)
-from .exact_counts import (exact_count, exact_count_sweep, iter_exact_counts,
-                           iterated_integral, sandwich_check)
+from .exact_counts import (exact_count, exact_count_sweep, iterated_integral,
+                           sandwich_check)
 from .patterns import (OccurrenceHistogram, complement, cwilf_evidence,
                        evidence_classes, is_nonoverlapping, is_standard,
                        nonoverlapping_fraction, occurrence_histogram,

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .errors import DomainError, InternalConsistencyError, InvalidInputError
+from .errors import DomainError, InternalConsistencyError, InvalidInputError, require_int
 from .exact_counts import exact_count, exact_count_sweep
 from .posets import ClusterParams
 
@@ -44,10 +44,13 @@ def trigamma(x: float) -> float:
     """Sum of 1/(x+k)^2 over k >= 0, for x > 0.
 
     Uses the recurrence to shift the argument above 10, then the asymptotic
-    tail 1/x + 1/(2x^2) + sum B_2k / x^(2k+1).
+    tail 1/x + 1/(2x^2) + sum B_2k / x^(2k+1).  Where x^2 underflows to 0
+    the value is beyond the float range, and inf is returned.
     """
     if not x > 0:
         raise DomainError(f"trigamma requires x > 0, got {x}")
+    if x * x == 0.0:
+        return math.inf
     acc = 0.0
     while x < 10.0:
         acc += 1.0 / (x * x)
@@ -99,8 +102,7 @@ def constant_concavity(t: float, d: int) -> float:
     """
     if not t >= 0:
         raise DomainError(f"need t >= 0, got {t}")
-    if d < 2:
-        raise DomainError(f"need d >= 2, got {d}")
+    require_int("d", d, 2)
     return trigamma(t / d + 1.0) / d - trigamma(t + 1.0)
 
 
@@ -137,8 +139,7 @@ def log_integer(value: int) -> float:
     Extracts the binary exponent and converts the top 64 bits, so the result
     is accurate to relative 1e-12 regardless of magnitude.
     """
-    if value <= 0:
-        raise DomainError("log_integer requires a positive integer")
+    require_int("value", value, 1)
     nbits = value.bit_length()
     if nbits <= 900:
         return math.log(value)

@@ -76,8 +76,10 @@ def _tail_sum(lo: int, c: Sequence[int]) -> int:
 
 
 def _checked_degree(m: int, a: int, b: int, n: int, v: str) -> int:
-    """Degree of the n-th integrand, refused if it is over the cap; the
-    padded variant adds one chain weight."""
+    """Degree of the n-th integrand, refused if it is over the cap or the
+    variant is not 'p' or 'q'; the padded variant adds one chain weight."""
+    if v not in ("p", "q"):
+        raise InvalidInputError(f"variant must be 'p' or 'q', got {v!r}")
     degree = (m - 1) * n + ((a - 1) + (m - b) if v == "q" else 0)
     if degree > MAX_INTEGRAL_DEGREE:
         raise ResourceLimitError(
@@ -134,48 +136,28 @@ def _finalize_count(lo: int, c: Sequence[int], divisor: int) -> int:
     return count
 
 
-def _normalize_variant(variant: str) -> str:
-    v = str(variant).lower()
-    if v not in ("p", "q"):
-        raise InvalidInputError(f"variant must be 'p' or 'q', got {variant!r}")
-    return v
-
-
-def iter_exact_counts(m: int, a: int, b: int, variant: str = "p") -> Iterator[int]:
-    """Yield the exact extension counts for n = 1, 2, 3, ... in one sweep.
-
-    The integration state is shared between successive n, so a full sweep to
-    n_max costs little more than the single largest evaluation.
-
-    >>> counts = iter_exact_counts(3, 1, 2)
-    >>> [next(counts) for _ in range(4)]
-    [1, 3, 15, 105]
-    """
-    ClusterParams(m, a, b, 1)  # validate (m, a, b)
-    v = _normalize_variant(variant)
-    for lo, c, divisor in _integrands(m, a, b, v):
-        yield _finalize_count(lo, c, divisor)
-
-
 def exact_count(params: ClusterParams, variant: str = "p") -> int:
     """Exact number of linear extensions of the chosen poset variant.
 
     The factorial-scaled iterated integral is divided by its weight
     normalizers; a non-integer result raises InternalConsistencyError.
     """
-    v = _normalize_variant(variant)
     m, a, b, n = params.m, params.a, params.b, params.n
-    _checked_degree(m, a, b, n, v)
-    return _finalize_count(*next(islice(_integrands(m, a, b, v), n - 1, None)))
+    _checked_degree(m, a, b, n, variant)
+    return _finalize_count(*next(islice(_integrands(m, a, b, variant), n - 1, None)))
 
 
 def exact_count_sweep(m: int, a: int, b: int, n_max: int,
                       variant: str = "p") -> List[int]:
-    """Exact counts for n = 1..n_max, sharing the integration state."""
+    """Exact counts for n = 1..n_max; sharing the integration state, they
+    cost little more than the count for n_max alone.
+
+    >>> exact_count_sweep(3, 1, 2, 4)
+    [1, 3, 15, 105]
+    """
     ClusterParams(m, a, b, n_max)  # validate the shape before the degree budget
-    v = _normalize_variant(variant)
-    _checked_degree(m, a, b, n_max, v)
-    integrands = islice(_integrands(m, a, b, v), n_max)
+    _checked_degree(m, a, b, n_max, variant)
+    integrands = islice(_integrands(m, a, b, variant), n_max)
     return [_finalize_count(*state) for state in integrands]
 
 
@@ -189,12 +171,13 @@ def iterated_integral(params: ClusterParams, variant: str = "p") -> Fraction:
     """
     from fractions import Fraction
 
-    v = _normalize_variant(variant)
+    count = exact_count(params, variant)  # refuses a bad variant or degree first
     m, a, b, n = params.m, params.a, params.b, params.n
+    padded = variant == "q"
     normalizers = (math.factorial(b - a - 1) ** n
-                   * (math.factorial(a - 1) * math.factorial(m - b)) ** (n + (v == "q")))
-    size = params.q_size if v == "q" else params.p_size
-    return Fraction(exact_count(params, v) * normalizers, math.factorial(size))
+                   * (math.factorial(a - 1) * math.factorial(m - b)) ** (n + padded))
+    size = params.q_size if padded else params.p_size
+    return Fraction(count * normalizers, math.factorial(size))
 
 
 def sandwich_check(params: ClusterParams) -> bool:

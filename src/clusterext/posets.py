@@ -96,7 +96,10 @@ class FinitePoset:
         return len(self.labels)
 
     def index(self, label: str) -> int:
-        return self._index[label]
+        try:
+            return self._index[label]
+        except (KeyError, TypeError):
+            raise InvalidInputError(f"unknown element label {label!r}") from None
 
     @cached_property
     def _children(self) -> Tuple[Tuple[int, ...], ...]:
@@ -140,7 +143,11 @@ class FinitePoset:
         return tuple(up)
 
     def less(self, x: int, y: int) -> bool:
-        """Strict order comparison."""
+        """Strict order comparison of two element indices."""
+        require_int("element index", x, 0)
+        require_int("element index", y, 0)
+        if not (x < len(self.labels) and y < len(self.labels)):
+            raise InvalidInputError(f"element pair ({x},{y}) out of range")
         return (self.strict_upsets[x] >> y) & 1 == 1
 
     def less_matrix(self) -> List[bytes]:

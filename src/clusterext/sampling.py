@@ -46,6 +46,7 @@ MAX_CHAIN_ELEMENTS = 4096
 
 def default_burnin(size: int) -> int:
     """ceil(|P|^3 ln |P|), the default number of discarded initial steps."""
+    require_int("size", size, 0)
     if size <= 1:
         return 0
     return math.ceil(size ** 3 * math.log(size))
@@ -53,6 +54,7 @@ def default_burnin(size: int) -> int:
 
 def default_thinning(size: int) -> int:
     """|P|^2 steps between recorded samples."""
+    require_int("size", size, 0)
     return max(1, size * size)
 
 
@@ -91,8 +93,8 @@ class ExtensionChain:
 
     Deterministic given the poset, the seed and the step counts of the
     successive :meth:`run` calls: one PCG64 stream drives every step.
-    ``position`` (element -> index in ``order``) is rebuilt at the end of
-    each :meth:`run` call.
+    ``position`` (element -> index in ``order``) is derived from ``order``
+    each time it is read.
     """
 
     def __init__(self, poset: FinitePoset, seed: int):
@@ -100,8 +102,6 @@ class ExtensionChain:
         import numpy as np
 
         self.order: List[int] = list(poset.topological_order())
-        self.position: List[int] = [0] * len(poset)
-        self._sync_position()
         self._less = poset.less_matrix()
         self._rng = np.random.default_rng(seed)
 
@@ -128,12 +128,14 @@ class ExtensionChain:
                 if not less[u][v]:
                     order[j] = v
                     order[j + 1] = u
-        self._sync_position()
 
-    def _sync_position(self) -> None:
-        position = self.position
+    @property
+    def position(self) -> List[int]:
+        """Index of each element in ``order``, built from ``order`` on each read."""
+        position = [0] * len(self.order)
         for idx, elem in enumerate(self.order):
             position[elem] = idx
+        return position
 
     def state(self) -> Tuple[int, ...]:
         return tuple(self.order)
@@ -202,7 +204,8 @@ def height_profile(params: ClusterParams, samples: int,
     totals = np.zeros(len(glue), dtype=float)
     for _ in range(samples):
         chain.run(thinning)
-        totals += [chain.position[x] for x in glue]
+        position = chain.position
+        totals += [position[x] for x in glue]
     mean_heights = totals / (samples * (size - 1))
     n = params.n
     reference = np.array([limit_profile(params.m, params.a, params.b,

@@ -14,7 +14,8 @@
 * ``checked_chain``: the lazy adjacent-transposition chain applied one draw
   at a time in Python, with ``position`` kept current and the cover
   relations asserted after every draw; :class:`clusterext.sampling.ExtensionChain`
-  filters the lazy coin in numpy and rebuilds ``position`` once per call.
+  filters the lazy coin in numpy and derives ``position`` from the order
+  when it is read.
 """
 
 import math

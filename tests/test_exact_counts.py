@@ -1,6 +1,5 @@
 import math
 from fractions import Fraction
-from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -8,8 +7,7 @@ from hypothesis import strategies as st
 
 from clusterext import exact_counts
 from clusterext.errors import InternalConsistencyError, InvalidInputError
-from clusterext.exact_counts import (exact_count, exact_count_sweep,
-                                     iter_exact_counts, iterated_integral)
+from clusterext.exact_counts import exact_count, exact_count_sweep, iterated_integral
 from clusterext.posets import (ClusterParams, cluster_poset,
                                count_linear_extensions_bruteforce,
                                modified_cluster_poset)
@@ -230,11 +228,10 @@ def shapes(draw, m_max=12, n_max=30):
 
 @settings(max_examples=60, deadline=None)
 @given(shape=shapes(), variant=st.sampled_from("pq"))
-def test_single_count_sweep_and_generator_agree(shape, variant):
+def test_single_count_and_sweep_agree(shape, variant):
     m, a, b, n = shape
     count = exact_count(ClusterParams(m, a, b, n), variant)
     assert count == exact_count_sweep(m, a, b, n, variant)[n - 1]
-    assert count == next(islice(iter_exact_counts(m, a, b, variant), n - 1, None))
 
 
 @settings(max_examples=60, deadline=None)
@@ -257,23 +254,35 @@ def test_sweep_matches_single_calls():
         assert sweep_q[n - 1] == exact_count(ClusterParams(5, 2, 4, n), "q")
 
 
-def test_generator_is_lazy_and_consistent():
-    it = iter_exact_counts(3, 1, 2, "p")
-    assert [next(it) for _ in range(4)] == [1, 3, 15, 105]
+def test_count_generator_is_not_public():
+    import clusterext
+
+    assert not hasattr(clusterext, "iter_exact_counts")
+    assert not hasattr(exact_counts, "iter_exact_counts")
 
 
 def test_variant_validation():
     with pytest.raises(InvalidInputError):
         exact_count(ClusterParams(3, 1, 2, 1), "x")
     with pytest.raises(InvalidInputError):
+        exact_count(ClusterParams(3, 1, 2, 1), "P")
+    with pytest.raises(InvalidInputError):
+        exact_count_sweep(3, 1, 2, 2, "Q")
+    with pytest.raises(InvalidInputError):
         exact_count_sweep(3, 1, 2, 0, "p")
 
 
-def test_degree_budget_raises_upfront():
+def test_degree_budget_raises_upfront(monkeypatch):
     from clusterext.errors import ResourceLimitError
 
+    def no_kernel(*args):
+        raise AssertionError("kernel ran for a refused request")
+
+    monkeypatch.setattr(exact_counts, "_integrands", no_kernel)
     with pytest.raises(ResourceLimitError):
         exact_count(ClusterParams(8, 3, 5, 10_000), "p")
+    with pytest.raises(ResourceLimitError):
+        exact_count_sweep(8, 3, 5, 10_000, "q")
     with pytest.raises(ResourceLimitError):
         iterated_integral(ClusterParams(8, 3, 5, 10_000), "q")
 

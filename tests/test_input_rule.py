@@ -1,8 +1,11 @@
 """Every public integer argument follows one rule: an int, not a bool, at or
 above its lower bound, or InvalidInputError before any work is done."""
 
+import inspect
+
 import pytest
 
+import clusterext
 from clusterext import asymptotics, cli, patterns, profiles, sampling
 from clusterext.errors import InvalidInputError, require_int
 from clusterext.exact_counts import exact_count_sweep
@@ -59,6 +62,15 @@ ARGUMENTS = [
     ("exact_count_sweep.n_max", lambda v: exact_count_sweep(3, 1, 2, v), 0),
     ("crossover_sweeps.n_max",
      lambda v: asymptotics.crossover_sweeps(6, 1, 3, 2, 4, v), 0),
+    ("crossover_search.n_max",
+     lambda v: asymptotics.crossover_search(6, 1, 3, 2, 4, v), 0),
+    ("empirical_constant.n", lambda v: asymptotics.empirical_constant(3, 1, 2, v), 0),
+    ("constant_concavity.d", lambda v: asymptotics.constant_concavity(1.0, v), 1),
+    ("log_integer.value", asymptotics.log_integer, 0),
+    ("default_burnin.size", sampling.default_burnin, -1),
+    ("default_thinning.size", sampling.default_thinning, -1),
+    ("FinitePoset.less.x", lambda v: ANTICHAIN.less(v, 0), -1),
+    ("FinitePoset.less.y", lambda v: ANTICHAIN.less(0, v), -1),
     ("fit --points", _fit_points, -1),
 ]
 
@@ -69,6 +81,35 @@ ARGUMENTS = [
 def test_integer_arguments_refuse_bad_values(call, value):
     with pytest.raises(InvalidInputError):
         call(value)
+
+
+# every function that takes these builds ClusterParams first, which has its own rows
+SHAPE_ARGUMENTS = {"m", "a", "b", "a2", "b2"}
+
+
+def _int_parameters():
+    """Names, as in ARGUMENTS, of the int and Optional[int] parameters of the
+    functions that clusterext exports and of the FinitePoset and
+    ExtensionChain methods."""
+    callables = [(name, fn) for name, fn in vars(clusterext).items()
+                 if inspect.isfunction(fn)]
+    for cls in (FinitePoset, sampling.ExtensionChain):
+        callables.append((cls.__name__, cls.__init__))
+        callables += [(f"{cls.__name__}.{name}", fn) for name, fn in vars(cls).items()
+                      if inspect.isfunction(fn) and not name.startswith("_")]
+    for prefix, fn in callables:
+        for param in inspect.signature(fn).parameters.values():
+            # annotations are strings: every module uses postponed evaluation
+            if (param.annotation in ("int", "Optional[int]")
+                    and param.name not in SHAPE_ARGUMENTS):
+                yield f"{prefix}.{param.name}"
+
+
+def test_every_int_parameter_has_a_row():
+    rows = {name for name, _, _ in ARGUMENTS}
+    scanned = set(_int_parameters())
+    assert {"ExtensionChain.run.steps", "FinitePoset.less.x"} <= scanned
+    assert sorted(scanned - rows) == []
 
 
 def test_require_int():

@@ -243,3 +243,15 @@ def test_less_matrix_matches_strict_upsets():
             assert bool(rows[x][y]) == poset.less(x, y)
             if x == y:
                 assert not poset.less(x, y)
+
+
+def test_less_and_index_refuse_outside_input():
+    # the type and lower-bound cases of less are rows of test_input_rule
+    poset = FinitePoset(["x", "y", "z"], [(0, 1), (1, 2)])
+    for x, y in [(0, 3), (0, 5), (3, 0), (5, 0)]:
+        with pytest.raises(InvalidInputError):
+            poset.less(x, y)
+    for label in ("zz", None, ["x"]):
+        with pytest.raises(InvalidInputError):
+            poset.index(label)
+    assert poset.less(0, 2) and poset.index("z") == 2

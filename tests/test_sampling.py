@@ -59,6 +59,12 @@ def test_states_stay_valid_with_validation_on():
     assert tuple(chain.position) == position
 
 
+def test_position_is_read_from_the_current_order():
+    chain = ExtensionChain(antichain(5), seed=2)
+    chain.order[1], chain.order[3] = chain.order[3], chain.order[1]
+    assert [chain.order[i] for i in chain.position] == list(range(5))
+
+
 @st.composite
 def small_shapes(draw):
     m = draw(st.integers(2, 6))
