@@ -37,7 +37,10 @@ def log_beta(alpha: float, beta: float) -> float:
     """log B(alpha, beta) = log Gamma(alpha) + log Gamma(beta) - log Gamma(alpha+beta)."""
     if not (0.0 < alpha < math.inf and 0.0 < beta < math.inf):
         raise DomainError("log_beta requires finite, strictly positive arguments")
-    return math.lgamma(alpha) + math.lgamma(beta) - math.lgamma(alpha + beta)
+    try:
+        return math.lgamma(alpha) + math.lgamma(beta) - math.lgamma(alpha + beta)
+    except OverflowError:
+        raise DomainError(f"log_beta({alpha}, {beta}) is beyond the float range") from None
 
 
 def trigamma(x: float) -> float:
@@ -84,12 +87,15 @@ def growth_constant(m: int, a: int, b: int) -> AsymptoticConstant:
     """
     params = ClusterParams(m, a, b, 1)
     d = params.d
-    value = (d * log_beta(*params.shape)
-             - log_beta(float(a), float(m - b + 1))
-             - math.lgamma(m - b + a + 1)
-             + (m - 1) * math.log(m - 1)
-             - d * math.log(d)
-             - m + b - a + 1)
+    try:
+        value = (d * log_beta(*params.shape)
+                 - log_beta(float(a), float(m - b + 1))
+                 - math.lgamma(m - b + a + 1)
+                 + (m - 1) * math.log(m - 1)
+                 - d * math.log(d)
+                 - m + b - a + 1)
+    except OverflowError:
+        raise DomainError("the growth constant is beyond the float range") from None
     return AsymptoticConstant(m, a, b, params.leading, value)
 
 

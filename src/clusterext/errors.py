@@ -1,9 +1,9 @@
 """Exception types shared across the package, and its one integer-argument rule.
 
 Every integer argument of the public API (the fields of ``ClusterParams``,
-text and pattern lengths, grid sizes, sample counts, step counts, seeds)
-goes through :func:`require_int`: it must be an ``int`` that is not a
-``bool`` and lies at or above its lower bound, or the call raises
+text and pattern lengths, pattern entries, grid sizes, sample counts, step
+counts, seeds) goes through :func:`require_int`: it must be an ``int`` that
+is not a ``bool`` and lies at or above its lower bound, or the call raises
 :class:`InvalidInputError` before any count, table entry or chain step is
 computed.
 """

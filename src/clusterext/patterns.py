@@ -83,6 +83,8 @@ def standardize(word: Sequence[int]) -> Pattern:
 def as_pattern(word: Sequence[int]) -> Pattern:
     """Validate that ``word`` is a permutation of 1..m and return it as a tuple."""
     p = tuple(word)
+    for v in p:
+        require_int("pattern entry", v, 1)
     if not p or sorted(p) != list(range(1, len(p) + 1)):
         raise InvalidInputError(f"not a permutation of 1..m: {p!r}")
     return p
@@ -278,6 +280,12 @@ def _pattern_histograms(p: Pattern, n_max: int) -> List[Dict[int, int]]:
             for n, level in enumerate(_sweep(len(p), n_max), start=1)]
 
 
+def _evidence_key(p: Pattern, n_max: int, strong: bool) -> tuple:
+    """Strong (full histograms) or weak (avoider counts) evidence for n = 1..n_max."""
+    return tuple(tuple(sorted(h.items())) if strong else h.get(0, 0)
+                 for h in _pattern_histograms(p, n_max))
+
+
 def occurrence_histogram(pattern: Sequence[int], n: int) -> OccurrenceHistogram:
     """Histogram of occurrence counts of ``pattern`` over all of S_n.
 
@@ -301,13 +309,7 @@ def cwilf_evidence(p: Sequence[int], q: Sequence[int], n_max: int,
     if len(pp) != len(qq):
         raise InvalidInputError("patterns must have the same length")
     _check_horizon(n_max)
-    for hp, hq in zip(_pattern_histograms(pp, n_max), _pattern_histograms(qq, n_max)):
-        if strong:
-            if hp != hq:
-                return False
-        elif hp.get(0, 0) != hq.get(0, 0):
-            return False
-    return True
+    return _evidence_key(pp, n_max, strong) == _evidence_key(qq, n_max, strong)
 
 
 def evidence_classes(m: int, n_max: int, strong: bool = True) -> List[List[Pattern]]:
@@ -329,7 +331,5 @@ def evidence_classes(m: int, n_max: int, strong: bool = True) -> List[List[Patte
         # reverse and complement keep every histogram: key one pattern per orbit
         orbit = _orbit(p)
         seen |= orbit
-        key = tuple(tuple(sorted(h.items())) if strong else h.get(0, 0)
-                    for h in _pattern_histograms(p, n_max))
-        groups.setdefault(key, []).extend(orbit)
+        groups.setdefault(_evidence_key(p, n_max, strong), []).extend(orbit)
     return sorted(sorted(g) for g in groups.values())

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .errors import (InternalConsistencyError, InvalidInputError, ResourceLimitError,
-                     require_int)
+from .errors import (DomainError, InternalConsistencyError, InvalidInputError,
+                     ResourceLimitError, require_int)
 
 #: Cap for the order-ideal dynamic program (bitmask-indexed).
 MAX_BRUTEFORCE_ELEMENTS = 24
@@ -53,7 +53,10 @@ class ClusterParams:
     @property
     def shape(self) -> Tuple[float, float]:
         """Beta shape ((a-1)/(b-a)+1, (m-b)/(b-a)+1) of one glue element's weight."""
-        return (self.a - 1) / self.d + 1.0, (self.m - self.b) / self.d + 1.0
+        try:
+            return (self.a - 1) / self.d + 1.0, (self.m - self.b) / self.d + 1.0
+        except OverflowError:
+            raise DomainError("the Beta shape is beyond the float range") from None
 
     @property
     def p_size(self) -> int:

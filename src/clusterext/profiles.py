@@ -4,12 +4,13 @@ For parameters (m, a, b) the normalized weight u^((a-1)/(b-a)) (1-u)^((m-b)/(b-a
 integrates to a strictly increasing map of [0,1] onto itself (a regularized
 incomplete beta function); its inverse is the limiting profile along which
 the glue elements of a long glued-chain poset sit in a typical linear
-extension.  The profile's slope satisfies
+extension.  The profile's slope is the reciprocal of the normalized weight
+density at the profile's value, taken in log space so that it cannot overflow:
 
     slope(t)^(b-a) * value(t)^(a-1) * (1 - value(t))^(m-b) = B^(b-a)
 
-with B the full beta value of the shape parameters, is positive on (0,1) and
-unimodal, and attains its minimum where the weight density peaks.
+with B the full beta value of the shape parameters; it is positive on (0,1),
+unimodal, and least where the weight density peaks.
 
 The same construction solves the general problem: given any positive weight
 h on [0,1] and exponent beta >= 0, the map j with h(j(t)) j'(t)^(beta+1)
@@ -87,10 +88,8 @@ def regularized_incomplete_beta(alpha: float, beta: float, x: float) -> float:
         raise DomainError("shape parameters must be finite and strictly positive")
     if not 0.0 <= x <= 1.0:
         raise DomainError(f"x must lie in [0, 1], got {x}")
-    if x == 0.0:
-        return 0.0
-    if x == 1.0:
-        return 1.0
+    if x in (0.0, 1.0):
+        return float(x == 1.0)
     front = math.exp(alpha * math.log(x) + beta * math.log1p(-x)
                      - log_beta(alpha, beta))
     if x < (alpha + 1.0) / (alpha + beta + 2.0):
@@ -109,10 +108,19 @@ def beta_value(m: int, a: int, b: int) -> float:
 
 def weight_cdf(m: int, a: int, b: int, t: float) -> float:
     """Normalized cumulative weight on [0,1]; strictly increasing, 0 at 0, 1 at 1."""
-    alpha, beta = _shape(m, a, b)
-    if not 0.0 <= t <= 1.0:
-        raise DomainError(f"t must lie in [0, 1], got {t}")
-    return regularized_incomplete_beta(alpha, beta, t)
+    return regularized_incomplete_beta(*_shape(m, a, b), t)
+
+
+def _log_density(alpha: float, beta: float, u: float) -> float:
+    """log of the Beta(alpha, beta) density at u in [0, 1], for shapes >= 1.
+
+    At an end of [0, 1] the density is 1/B where that end's shape is 1, else 0.
+    """
+    if 0.0 < u < 1.0:
+        return ((alpha - 1.0) * math.log(u) + (beta - 1.0) * math.log1p(-u)
+                - log_beta(alpha, beta))
+    flat = (alpha if u <= 0.0 else beta) == 1.0
+    return -log_beta(alpha, beta) if flat else -math.inf
 
 
 def limit_profile(m: int, a: int, b: int, t: float) -> float:
@@ -126,10 +134,8 @@ def limit_profile(m: int, a: int, b: int, t: float) -> float:
     alpha, beta = _shape(m, a, b)
     if not 0.0 <= t <= 1.0:
         raise DomainError(f"t must lie in [0, 1], got {t}")
-    if t == 0.0:
-        return 0.0
-    if t == 1.0:
-        return 1.0
+    if t in (0.0, 1.0):
+        return float(t == 1.0)
     lo, hi = 0.0, 1.0
     s = 0.5
     for _ in range(_PROFILE_MAX_ITER):
@@ -140,7 +146,7 @@ def limit_profile(m: int, a: int, b: int, t: float) -> float:
             hi = s
         if abs(g - t) <= 1e-15 or hi - lo <= 1e-13:
             return s
-        density = _weight_density(alpha, beta, s)
+        density = math.exp(_log_density(alpha, beta, s))
         step = (g - t) / density if density > 1e-12 else math.inf
         proposal = s - step
         if not lo < proposal < hi:
@@ -151,29 +157,20 @@ def limit_profile(m: int, a: int, b: int, t: float) -> float:
         f"(m={m}, a={a}, b={b}, t={t})")
 
 
-def _weight_density(alpha: float, beta: float, u: float) -> float:
-    if u <= 0.0 or u >= 1.0:
-        return 0.0
-    return math.exp((alpha - 1.0) * math.log(u) + (beta - 1.0) * math.log1p(-u)
-                    - log_beta(alpha, beta))
-
-
 def limit_profile_slope(m: int, a: int, b: int, t: float) -> float:
     """Derivative of the limit profile; math.inf where it diverges.
 
-    The slope solves slope^(b-a) value^(a-1) (1-value)^(m-b) = B^(b-a), i.e.
-    slope(t) = B * value^(-(a-1)/(b-a)) * (1-value)^(-(m-b)/(b-a)); it
-    diverges at t = 0 when a > 1 and at t = 1 when b < m.
+    The slope is the reciprocal weight density at value(t), i.e.
+    slope(t) = B * value^(-(a-1)/(b-a)) * (1-value)^(-(m-b)/(b-a)), taken in
+    log space; it diverges at t = 0 when a > 1 and at t = 1 when b < m.
     """
-    bval = beta_value(m, a, b)
-    f = limit_profile(m, a, b, t)  # exactly 0.0 at t = 0 and 1.0 at t = 1
-    if f <= 0.0:
-        return bval if a == 1 else math.inf
-    if f >= 1.0:
-        return bval if b == m else math.inf
-    d = b - a
-    return bval * math.exp(-(a - 1) / d * math.log(f)
-                           - (m - b) / d * math.log1p(-f))
+    return math.exp(-_log_density(*_shape(m, a, b), limit_profile(m, a, b, t)))
+
+
+def _density_peak(m: int, a: int, b: int) -> float:
+    """Mode (a-1)/(m-b+a-1) of the weight density; 0.0 where it is flat (a=1, b=m)."""
+    leading = ClusterParams(m, a, b, 1).leading
+    return (a - 1) / leading if leading else 0.0
 
 
 def slope_argmin(m: int, a: int, b: int) -> float:
@@ -182,19 +179,10 @@ def slope_argmin(m: int, a: int, b: int) -> float:
     For a = 1 and b = m simultaneously the slope is constant and the argmin
     is undefined; that corner raises DegenerateParameterError.
     """
-    params = ClusterParams(m, a, b, 1)
-    if params.leading == 0:
+    if ClusterParams(m, a, b, 1).leading == 0:
         raise DegenerateParameterError(
             "slope is constant for a = 1, b = m; no interior minimum")
-    return weight_cdf(m, a, b, (a - 1) / params.leading)
-
-
-def _slope_minimum(m: int, a: int, b: int) -> float:
-    """slope_argmin, or 0.0 in the constant-slope corner a = 1, b = m."""
-    try:
-        return slope_argmin(m, a, b)
-    except DegenerateParameterError:
-        return 0.0
+    return weight_cdf(m, a, b, _density_peak(m, a, b))
 
 
 @dataclass(frozen=True)
@@ -234,7 +222,8 @@ def profile_table(m: int, a: int, b: int, grid_size: int = 1000) -> ProfileTable
     grid = np.linspace(0.0, 1.0, grid_size + 1)
     values = np.array([limit_profile(m, a, b, t) for t in grid])
     slopes = np.array([limit_profile_slope(m, a, b, t) for t in grid])
-    return ProfileTable(m, a, b, grid, values, slopes, _slope_minimum(m, a, b))
+    return ProfileTable(m, a, b, grid, values, slopes,
+                        weight_cdf(m, a, b, _density_peak(m, a, b)))
 
 
 @dataclass(frozen=True)
@@ -281,10 +270,11 @@ def variational_profile(problem: VariationalProblem,
     dx = x[1] - x[0]
     cumulative = np.concatenate(
         ([0.0], np.cumsum(0.5 * dx * (w[1:] + w[:-1]))))
+    if not 0.0 < cumulative[-1] < math.inf:
+        raise DomainError(f"weight total {cumulative[-1]} is not finite and positive")
     cumulative /= cumulative[-1]
     t = np.linspace(0.0, 1.0, grid_size + 1)
-    j = np.interp(t, cumulative, x)
-    return t, j
+    return t, np.interp(t, cumulative, x)
 
 
 def profile_increment_bounds(m: int, a: int, b: int,
@@ -306,7 +296,8 @@ def profile_increment_bounds(m: int, a: int, b: int,
     two points with y_1 - y_0 small.)  The comparison runs in log space
     (the products underflow for long sequences) with a slack of 1e-9.
     """
-    log_min_slope = math.log(limit_profile_slope(m, a, b, _slope_minimum(m, a, b)))
+    alpha, beta = _shape(m, a, b)
+    log_min_slope = -_log_density(alpha, beta, _density_peak(m, a, b))
     for seq in sequences:
         y = [float(v) for v in seq]
         if len(y) < 2:
@@ -315,10 +306,9 @@ def profile_increment_bounds(m: int, a: int, b: int,
             raise InvalidInputError(
                 "sequences must be strictly increasing inside (0, 1)")
         values = [limit_profile(m, a, b, v) for v in y]
-        log_slopes = [math.log(limit_profile_slope(m, a, b, v)) for v in y]
-        log_gaps = [math.log(y[i + 1] - y[i]) for i in range(len(y) - 1)]
-        mid = (sum(math.log(values[i + 1] - values[i])
-                   for i in range(len(y) - 1))
+        log_slopes = [-_log_density(alpha, beta, f) for f in values]
+        log_gaps = [math.log(v - u) for u, v in zip(y, y[1:])]
+        mid = (sum(math.log(v - u) for u, v in zip(values, values[1:]))
                - sum(log_slopes))
         lower = (log_min_slope - log_slopes[0] - log_slopes[-1]
                  + sum(log_gaps))

@@ -42,6 +42,14 @@ def test_log_beta():
             asymptotics.log_beta(alpha, beta)
 
 
+def test_log_beta_beyond_the_float_range_is_a_domain_error():
+    # lgamma overflows for arguments near 1e306; no cap, just DomainError
+    assert math.isfinite(asymptotics.log_beta(1.0, 1e305))
+    for alpha, beta in [(1.0, 1e306), (1e307, 2.0), (1e308, 1e308)]:
+        with pytest.raises(DomainError, match="beyond the float range"):
+            asymptotics.log_beta(alpha, beta)
+
+
 def test_trigamma_spot_values():
     assert asymptotics.trigamma(1.0) == pytest.approx(math.pi ** 2 / 6, abs=1e-12)
     assert asymptotics.trigamma(2.0) == pytest.approx(math.pi ** 2 / 6 - 1, abs=1e-12)
@@ -67,6 +75,14 @@ def test_growth_constant_hand_values():
     c413 = asymptotics.growth_constant(4, 1, 3)
     assert c413.leading == 1
     assert c413.value == pytest.approx(math.log(3) - 1, abs=1e-10)
+
+
+@pytest.mark.parametrize("m,a,b", [(10 ** 306, 1, 2), (10 ** 309, 1, 10 ** 309),
+                                   (10 ** 309, 2, 10 ** 309), (10 ** 400, 1, 2)],
+                         ids=["1e306,1,2", "1e309,1,m", "1e309,2,m", "1e400,1,2"])
+def test_growth_constant_beyond_the_float_range_is_a_domain_error(m, a, b):
+    with pytest.raises(DomainError, match="beyond the float range"):
+        asymptotics.growth_constant(m, a, b)
 
 
 def test_growth_constant_against_high_precision():

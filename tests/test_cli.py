@@ -185,6 +185,39 @@ def test_profile_json_handles_infinities():
     assert data["lambda"] == pytest.approx(0.4423, abs=1e-3)
 
 
+@pytest.mark.parametrize("m,a,b", [(1100, 550, 551), (100000, 50000, 50001)])
+def test_profile_of_large_balanced_shapes(m, a, b):
+    from scipy.stats import beta as beta_dist
+
+    status, out = run_cli("profile", "--m", str(m), "--a", str(a), "--b", str(b),
+                          "--points", "4", "--format", "json")
+    assert status == 0
+    data = json.loads(out)
+    shape = (a - 1) / (b - a) + 1.0, (m - b) / (b - a) + 1.0
+    for f, slope in zip(data["f"][1:-1], data["fprime"][1:-1]):
+        assert math.isfinite(slope)
+        assert slope == pytest.approx(1 / beta_dist.pdf(f, *shape), rel=1e-9)
+
+
+# m = 10^k with b = 2 puts log_beta (k = 306) or the Beta shape (k >= 309)
+# beyond the float range; with b = m, the growth constant's own terms
+HUGE_REST = {"constant": (), "fit": ("--n-max", "3"), "profile": ("--points", "4")}
+HUGE_REQUESTS = ([(command, k, "2") for command in HUGE_REST for k in (306, 309, 400)]
+                 + [(command, k, "m") for command in ("constant", "fit")
+                    for k in (309, 400)])
+
+
+@pytest.mark.parametrize("command, k, b", HUGE_REQUESTS,
+                         ids=[f"{c}-m=1e{k}-b={b}" for c, k, b in HUGE_REQUESTS])
+def test_shapes_beyond_the_float_range_exit_2(capsys, command, k, b):
+    m = str(10 ** k)
+    status, out = run_cli(command, "--m", m, "--a", "1", "--b", m if b == "m" else b,
+                          *HUGE_REST[command])
+    err = capsys.readouterr().err
+    assert (status, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_sample_csv_and_svg(tmp_path):
     svg_path = tmp_path / "heights.svg"
     args = ("sample", "--m", "3", "--a", "1", "--b", "2", "--n", "4",

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 from itertools import permutations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -146,6 +147,17 @@ def test_cwilf_evidence_examples():
     assert patterns.occurrence_histogram((1, 3, 2), 4).avoiders() == 16
 
 
+@pytest.mark.parametrize("strong", [True, False])
+def test_cwilf_evidence_agrees_with_evidence_classes(strong):
+    n_max = 7
+    cls = {p: i for i, group in enumerate(patterns.evidence_classes(4, n_max, strong))
+           for p in group}
+    for p in cls:
+        for q in cls:
+            assert (patterns.cwilf_evidence(p, q, n_max, strong)
+                    == (cls[p] == cls[q])), (p, q)
+
+
 def test_cwilf_evidence_reverse_always_strong():
     for p in permutations(range(1, 5)):
         assert patterns.cwilf_evidence(p, patterns.reverse(p), 7, strong=True)
@@ -225,6 +237,27 @@ def test_sweep_frees_its_tables_without_the_cycle_collector():
 def test_bad_classify_lengths_are_refused(m):
     with pytest.raises(InvalidInputError):
         patterns.evidence_classes(m, 4)
+
+
+# entries that equal 1..m but are not ints: the one integer rule refuses them
+NON_INT_PATTERNS = [(True, 2, 3), (1, 2, 3.0), (1.0, 2.0, 3.0),
+                    (np.int64(1), np.int64(2), np.int64(3)), (1, 2, "3")]
+PATTERN_CALLS = {
+    "as_pattern": patterns.as_pattern,
+    "occurrences": lambda p: patterns.occurrences(p, (1, 2, 3, 4)),
+    "occurrences text": lambda p: patterns.occurrences((1, 2), p),
+    "symmetry_class": patterns.symmetry_class,
+    "occurrence_histogram": lambda p: patterns.occurrence_histogram(p, 4),
+    "cwilf_evidence": lambda p: patterns.cwilf_evidence(p, (1, 3, 2), 4),
+    "cwilf_evidence second": lambda p: patterns.cwilf_evidence((1, 3, 2), p, 4),
+}
+
+
+@pytest.mark.parametrize("call", PATTERN_CALLS.values(), ids=PATTERN_CALLS)
+@pytest.mark.parametrize("pattern", NON_INT_PATTERNS, ids=repr)
+def test_pattern_entries_must_be_ints(call, pattern):
+    with pytest.raises(InvalidInputError, match="pattern entry must be an integer"):
+        call(pattern)
 
 
 def test_symmetry_class_examples():

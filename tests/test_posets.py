@@ -7,8 +7,8 @@ from pathlib import Path
 import pytest
 
 from clusterext import posets
-from clusterext.errors import (InternalConsistencyError, InvalidInputError,
-                               ResourceLimitError)
+from clusterext.errors import (DomainError, InternalConsistencyError,
+                               InvalidInputError, ResourceLimitError)
 from clusterext.exact_counts import sandwich_check
 from clusterext.posets import (ClusterParams, FinitePoset, cluster_poset,
                                count_linear_extensions_bruteforce, glue_labels,
@@ -41,6 +41,13 @@ def test_params_validation():
 def test_params_reject_non_int(fields):
     with pytest.raises(InvalidInputError):
         ClusterParams(*fields)
+
+
+def test_shape_beyond_the_float_range_is_a_domain_error():
+    assert ClusterParams(10 ** 308, 1, 2, 1).shape == (1.0, 1e308)
+    for m, a, b in [(10 ** 309, 1, 2), (10 ** 400, 10 ** 400 - 1, 10 ** 400)]:
+        with pytest.raises(DomainError, match="beyond the float range"):
+            ClusterParams(m, a, b, 1).shape
 
 
 def test_params_derived_quantities():

@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 from scipy.special import betainc
+from scipy.stats import beta as beta_dist
 
 from clusterext import profiles
 from clusterext.errors import (DegenerateParameterError, DomainError,
@@ -97,6 +98,22 @@ def test_limit_profile_slope_closed_form():
     for t in np.linspace(0.01, 0.99, 30):
         assert limit_profile_slope(3, 1, 2, float(t)) == pytest.approx(
             1 / (2 * math.sqrt(1 - t)), abs=1e-10)
+
+
+# balanced d = 1 shapes (alpha = beta up to 5e4), both flat corners and
+# lopsided ones; the old B * exp(...) form overflowed from m = 1100, d = 1
+REFERENCE_SHAPES = [(8, 3, 5), (5, 1, 3), (5, 3, 5), (5, 1, 5), (40, 20, 21),
+                    (1100, 550, 551), (100000, 50000, 50001), (100000, 1, 2),
+                    (100000, 99999, 100000), (100000, 10, 99000), (30000, 1, 30000)]
+
+
+@pytest.mark.parametrize("m,a,b", REFERENCE_SHAPES)
+def test_slope_is_the_reciprocal_scipy_beta_density(m, a, b):
+    alpha, beta = (a - 1) / (b - a) + 1.0, (m - b) / (b - a) + 1.0
+    for t in (1e-6, 0.01, 0.2, 0.5, 0.77, 0.99, 1 - 1e-6):
+        f = limit_profile(m, a, b, t)
+        slope = limit_profile_slope(m, a, b, t)
+        assert slope == pytest.approx(1 / beta_dist.pdf(f, alpha, beta), rel=1e-9)
 
 
 def test_slope_equation_residual():
@@ -230,6 +247,15 @@ def test_variational_constancy_residual():
     assert np.max(np.abs(interior / np.median(interior) - 1)) <= 1e-6
 
 
+@pytest.mark.parametrize("weight", [1e308, 5e-324])
+def test_variational_total_out_of_float_range_is_refused(weight):
+    # the trapezoid total overflows to inf (or underflows to 0), which would
+    # make every j NaN; refuse instead
+    problem = VariationalProblem(np.full(1001, weight), 0.0)
+    with np.errstate(over="ignore"), pytest.raises(DomainError, match="weight total"):
+        variational_profile(problem, 10)
+
+
 def test_variational_validation():
     with pytest.raises(InvalidInputError):
         VariationalProblem(np.ones(100), 1.0)  # too few points
@@ -265,6 +291,20 @@ def test_increment_bounds_examples():
     assert profile_increment_bounds(5, 2, 4, seqs)
     assert profile_increment_bounds(8, 3, 5, seqs)
     assert profile_increment_bounds(4, 1, 4, seqs)  # degenerate corner, slope 1
+
+
+def test_increment_bounds_invert_each_point_once(monkeypatch):
+    calls = []
+
+    def counting(m, a, b, t):
+        calls.append(t)
+        return limit_profile(m, a, b, t)
+
+    monkeypatch.setattr(profiles, "limit_profile", counting)
+    seqs = [[0.1, 0.4, 0.9], [(i + 1) / 12 for i in range(11)], [0.3, 0.31]]
+    assert profile_increment_bounds(8, 3, 5, seqs)
+    assert profile_increment_bounds(4, 1, 4, seqs)  # flat corner: no argmin inversion
+    assert calls == [t for seq in seqs for t in seq] * 2
 
 
 def test_increment_bounds_need_all_gaps_on_lower_side():
