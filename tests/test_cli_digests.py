@@ -54,6 +54,10 @@ REQUESTS = [
     "classify --m 3 --n-max 6",
     "classify --m 4 --n-max 6 --weak",
     "classify --m 4 --n-max 7",
+    "classify --m 5 --n-max 7 --weak",
+    "classify --m 6 --n-max 5",  # n_max < m: one class, S_6 in lex order
+    "classify --m 6 --n-max 7",
+    "classify --m 7 --n-max 8",
     "classify --m 3 --n-max 0",  # exit 2
 ]
 
