@@ -200,7 +200,8 @@ def _cmd_sample(args) -> _Result:
 
 
 def _cmd_classify(args) -> _Result:
-    classes = [["".join(map(str, p)) for p in cls]
+    digits = "%d" * args.m  # one format per pattern, not one str per entry
+    classes = [[digits % p for p in cls]
                for cls in patterns.evidence_classes(args.m, args.n_max,
                                                     strong=not args.weak)]
     kind = "weak" if args.weak else "strong"

@@ -25,16 +25,18 @@ the new ones, and k = 0 is n! minus the rest.
 Reverse and complement keep every histogram.  Complement maps the subtree
 under a node of depth m-1 onto the subtree under its complement, and no
 permutation of S_k with k >= 2 is its own complement, so for m >= 3 the
-sweep walks only the roots whose first entry is below their second and
-credits each tally to both w and its complement.  The histograms are then
-built once per orbit {p, pR, pC, pRC}, and ``evidence_classes`` keys one
-pattern per orbit.  The cost is O(m) per node of depth below n_max, about
-m (n_max - 1)! / 2 steps, plus m * m! for the tables; there is no per-text
-factor of m!.  ``classify --m 7 --n-max 10``, the largest request the caps
-allow, takes about 1.35 s on one core of a 2-vCPU Xeon VM (2.6 s with the
-whole tree walked).  The per-length brute force this replaced ranked every
-window of every text and tallied all m! patterns per text, about 0.9 ms per
-text at m = 7: an hour for the 4 M texts of S_1..S_10.
+sweep walks only the roots whose first entry is below their second, and
+each orbit {p, pR, pC, pRC} takes the tallies of its first pattern p and of
+pC.  Everything after the walk runs once per orbit: the counts of each
+level (about m!/4 rows) and the keys of ``evidence_classes``.  The cost is
+O(m) per node of depth below n_max, about m (n_max - 1)! / 2 steps, plus
+a few list steps per pattern of S_m for the tables and orbits and one row
+per orbit and level; there is no per-text factor of m!.  ``classify --m 7 --n-max 10``, the
+largest request the caps allow, takes about 1.3 s on one core of a 2-vCPU
+Xeon VM (2.6 s with the whole tree walked).  The per-length brute force
+this replaced ranked every window of every text and tallied all m!
+patterns per text, about 0.9 ms per text at m = 7: an hour for the 4 M
+texts of S_1..S_10.
 
 Equivalence results obtained here are evidence up to a stated text length,
 never proofs.
@@ -46,6 +48,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations as _permutations
+from operator import itemgetter
 from typing import Dict, List, Sequence, Tuple
 
 from .errors import InvalidInputError, ResourceLimitError, require_int
@@ -56,8 +59,10 @@ Pattern = Tuple[int, ...]
 MAX_TEXT_LENGTH = 10
 #: Largest pattern length for the m! non-overlap census.
 MAX_CENSUS_LENGTH = 11
-#: Largest pattern length for whole-S_m classification (m! histogram keys),
-#: and for any sweep that reaches a text of length m (m!-sized tables).
+#: Largest pattern length for whole-S_m classification, and for any sweep
+#: that reaches a text of length m: its tables have m! entries and each
+#: level m!/4 orbit rows.  At m = 8 the tables take about 11 ms and a
+#: request with n_max = 8 about 60 ms before its output (2-vCPU Xeon VM).
 MAX_CLASSIFY_LENGTH = 7
 
 
@@ -116,15 +121,11 @@ def complement(pattern: Sequence[int]) -> Pattern:
     return tuple(m + 1 - v for v in p)
 
 
-def _orbit(p: Pattern) -> set:
-    """{p, pR, pC, pRC} for a pattern ``p`` that is already validated."""
-    c = tuple(len(p) + 1 - v for v in p)
-    return {p, p[::-1], c, c[::-1]}
-
-
 def symmetry_class(pattern: Sequence[int]) -> Tuple[Pattern, ...]:
     """The (up to four distinct) trivially equivalent patterns p, pR, pC, pRC."""
-    return tuple(sorted(_orbit(as_pattern(pattern))))
+    p = as_pattern(pattern)
+    c = tuple(len(p) + 1 - v for v in p)
+    return tuple(sorted({p, p[::-1], c, c[::-1]}))
 
 
 def is_standard(pattern: Sequence[int]) -> bool:
@@ -186,31 +187,60 @@ class OccurrenceHistogram:
         return self.counts.get(0, 0)
 
 
-@lru_cache(maxsize=None)
-def _sweep(m: int, n_max: int) -> Tuple[Dict[Pattern, Dict[int, int]], ...]:
-    """Occurrence histograms of the length-m patterns over S_1, ..., S_n_max.
+def _window_tables(m: int) -> Tuple[List[int], List[int], List[int]]:
+    """Index tables over S_m, built from those over S_(m-1) by list slices.
 
-    Entry n-1 maps each pattern that occurs in S_n to its histogram; a
-    pattern missing there (every pattern when n < m) has {0: n!}.  The
-    patterns of one reverse/complement orbit share one dict, so a caller
-    copies it before any change.  A sweep with m > MAX_CLASSIFY_LENGTH and
-    n_max >= m raises ResourceLimitError before it builds any table.
+    Window w = s*m + j of S_m is the pattern whose first m-1 entries have
+    the pattern of lex rank s in S_(m-1) and whose last entry lies above
+    exactly j of them.  Returns ``lex``, ``suffix`` and ``rev``: lex[w] is
+    the lex rank of window w, suffix[w] the lex rank in S_(m-1) of the
+    pattern of its last m-1 entries, and rev[x] the lex rank of the
+    reverse of the pattern of lex rank x.  A pattern of lex rank
+    (p1-1)*(m-1)! + y starts with p1 and ends in the pattern of lex rank y
+    in S_(m-1), which is itself a window of S_(m-1); reversed, it is the
+    window with tail rev(y) and j = p1 - 1.
+    """
+    lex, rev = [0], [0]  # S_1, whose one window has an empty tail
+    for k in range(2, m + 1):
+        block, size = math.factorial(k - 2) * k, math.factorial(k - 1)
+        suffix, tab = [0] * (k * size), [0] * (k * size)
+        for t1 in range(1, k):  # the first entry of the tail
+            stop = t1 * block
+            for j in range(k):
+                # the windows with tail (t1, ...) and j sit at stop - block + j,
+                # step k; their suffixes are the windows of S_(k-1) whose
+                # tail is the rest of the tail, above j or j - 1 entries
+                col = lex[j - (t1 <= j)::k - 1]
+                suffix[stop - block + j:stop:k] = col
+                low = (t1 - 1 + (t1 > j)) * size  # lex rank of the first entry
+                tab[stop - block + j:stop:k] = [low + y for y in col]
+        rev = [tab[r * k + j] for j in range(k) for r in rev]
+        lex = tab
+    return lex, suffix, rev
+
+
+@lru_cache(maxsize=None)
+def _sweep(m: int, n_max: int) -> Tuple[List[int], Tuple[List[List[int]], ...]]:
+    """Occurrence counts of the length-m patterns over S_m, ..., S_n_max.
+
+    Returns ``orbit``, which maps the lex rank of each pattern of S_m to its
+    reverse/complement orbit, and one level per n = m..n_max.  Orbits are
+    numbered in lex order of their first patterns.  Level n - m holds one
+    row per orbit: row[c-1] is the number of texts in S_n with at least c
+    occurrences of any one of the orbit's patterns (see ``_histogram``).
+    A caller must not change a row.  Texts shorter than m have no
+    occurrence, so n_max must be at least m.  A sweep with m >
+    MAX_CLASSIFY_LENGTH raises ResourceLimitError before it builds any table.
     """
     if m == 1:  # every entry is an occurrence of the one pattern
-        return tuple({(1,): {n: math.factorial(n)}} for n in range(1, n_max + 1))
-    levels: List[Dict[Pattern, Dict[int, int]]] = [{} for _ in range(min(n_max, m - 1))]
-    if n_max < m:
-        return tuple(levels)
+        return [0], tuple([[math.factorial(n)] * n] for n in range(1, n_max + 1))
     if m > MAX_CLASSIFY_LENGTH:
         raise ResourceLimitError(
             f"occurrence sweeps supported for m <= {MAX_CLASSIFY_LENGTH} once n_max >= m")
     tails = list(_permutations(range(1, m)))
-    tail_index = {t: i for i, t in enumerate(tails)}
-    # window w = s*m + j: tail pattern s (lex rank) and a new entry above
-    # exactly j of its entries; suffix[w]: the tail pattern window w leaves
-    pats = [tuple(v + (v > j) for v in t) + (j + 1,) for t in tails for j in range(m)]
-    suffix = [tail_index[tuple(v - (v > p[0]) for v in p[1:])] for p in pats]
-    count = [0] * len(pats)  # occurrences of each window on the current branch
+    lex, suffix, rev = _window_tables(m)
+    size = len(lex)
+    count = [0] * size  # occurrences of each window on the current branch
     # first[d][w, c]: the depth-d nodes whose new window w is its c-th occurrence
     first: List[Dict[Tuple[int, int], int]] = [{} for _ in range(n_max + 1)]
 
@@ -242,30 +272,46 @@ def _sweep(m: int, n_max: int) -> Tuple[Dict[Pattern, Dict[int, int]], ...]:
         if not half or tail[0] < tail[1]:
             visit(m - 1, tail, s)
     del visit  # it refers to itself: free the branch tables now, not at a full gc
-    # at_least[w][c-1]: the depth-n nodes with at least c occurrences of w;
-    # each depth-(n-1) node has n children, which inherit its counts
-    at_least: List[List[int]] = [[] for _ in pats]
+    # number the orbits {x, xC, xR, xRC} in lex order (complement maps lex
+    # rank x to m! - 1 - x) and credit each one's rows with the tallies of
+    # its first pattern and, for half the roots, of that pattern's complement
+    orbit, credit = [-1] * size, [None] * size
+    rows: List[List[int]] = []
+    for x in range(size):
+        if orbit[x] < 0:
+            r = rev[x]
+            orbit[x] = orbit[size - 1 - x] = orbit[r] = orbit[size - 1 - r] = len(rows)
+            credit[x] = credit[size - 1 - x if half else x] = len(rows)
+            rows.append([])
+    credit = [credit[x] for x in lex]  # by window
+    levels = []
     for n in range(m, n_max + 1):
-        for row in at_least:
-            row[:] = [n * g for g in row]
+        # each depth-(n-1) node has n children, which inherit its counts
+        rows = [[n * g for g in row] for row in rows]
         for (w, c), nodes in first[n].items():
-            for v in ((w, len(pats) - 1 - w) if half else (w,)):
-                row = at_least[v]
+            o = credit[w]
+            if o is not None:
+                row = rows[o]
                 if c > len(row):
                     row.append(nodes)
                 else:
                     row[c - 1] += nodes
-        total = math.factorial(n)
-        level: Dict[Pattern, Dict[int, int]] = {}
-        for p, row in zip(pats, at_least):
-            if p in level:
-                continue
-            g = [total, *row, 0]
-            # one dict per orbit, as reverse and complement keep histograms
-            level.update(dict.fromkeys(_orbit(p), {
-                k: g[k] - g[k + 1] for k in range(len(row) + 1) if g[k] != g[k + 1]}))
-        levels.append(level)
-    return tuple(levels)
+        levels.append(rows)
+    return orbit, tuple(levels)
+
+
+def _histogram(row: List[int], n: int) -> Dict[int, int]:
+    """Histogram over S_n from the counts of texts with at least c = 1, 2, ... occurrences."""
+    g = [math.factorial(n), *row, 0]
+    return {k: g[k] - g[k + 1] for k in range(len(row) + 1) if g[k] != g[k + 1]}
+
+
+def _rank(p: Pattern) -> int:
+    """Lex rank of ``p`` among the permutations of its length."""
+    r = 0
+    for i, v in enumerate(p):
+        r = r * (len(p) - i) + sum(u < v for u in p[i + 1:])
+    return r
 
 
 def _check_horizon(n: int) -> None:
@@ -274,16 +320,26 @@ def _check_horizon(n: int) -> None:
         raise ResourceLimitError(f"text enumeration supported for n <= {MAX_TEXT_LENGTH}")
 
 
+def _orbit_rows(p: Pattern, n_max: int) -> List[List[int]]:
+    """The rows of ``p``'s orbit for n = m..n_max, read from the cached sweep."""
+    if n_max < len(p):  # no text is long enough to hold p: no table needed
+        return []
+    orbit, levels = _sweep(len(p), n_max)
+    o = orbit[_rank(p)]
+    return [rows[o] for rows in levels]
+
+
 def _pattern_histograms(p: Pattern, n_max: int) -> List[Dict[int, int]]:
-    """Histograms of ``p`` over S_1, ..., S_n_max, read from the cached sweep."""
-    return [level.get(p) or {0: math.factorial(n)}
-            for n, level in enumerate(_sweep(len(p), n_max), start=1)]
+    """Histograms of ``p`` over S_1, ..., S_n_max."""
+    return ([{0: math.factorial(n)} for n in range(1, min(n_max, len(p) - 1) + 1)]
+            + [_histogram(row, n)
+               for n, row in enumerate(_orbit_rows(p, n_max), start=len(p))])
 
 
-def _evidence_key(p: Pattern, n_max: int, strong: bool) -> tuple:
-    """Strong (full histograms) or weak (avoider counts) evidence for n = 1..n_max."""
-    return tuple(tuple(sorted(h.items())) if strong else h.get(0, 0)
-                 for h in _pattern_histograms(p, n_max))
+def _evidence(strong: bool):
+    """What evidence keeps of a row: all of it, which fixes the histogram
+    (strong), or its first entry, n! minus the avoiders (weak)."""
+    return tuple if strong else itemgetter(0)
 
 
 def occurrence_histogram(pattern: Sequence[int], n: int) -> OccurrenceHistogram:
@@ -309,7 +365,9 @@ def cwilf_evidence(p: Sequence[int], q: Sequence[int], n_max: int,
     if len(pp) != len(qq):
         raise InvalidInputError("patterns must have the same length")
     _check_horizon(n_max)
-    return _evidence_key(pp, n_max, strong) == _evidence_key(qq, n_max, strong)
+    pick = _evidence(strong)
+    return (list(map(pick, _orbit_rows(pp, n_max)))
+            == list(map(pick, _orbit_rows(qq, n_max))))
 
 
 def evidence_classes(m: int, n_max: int, strong: bool = True) -> List[List[Pattern]]:
@@ -323,13 +381,17 @@ def evidence_classes(m: int, n_max: int, strong: bool = True) -> List[List[Patte
         raise ResourceLimitError(
             f"classification supported for m <= {MAX_CLASSIFY_LENGTH}")
     _check_horizon(n_max)
+    if n_max < m:  # every histogram is {0: n!}
+        return [list(_permutations(range(1, m + 1)))]
+    # reverse and complement keep every histogram: key one row per orbit,
+    # and skip the levels n < m, which are the same for every pattern
+    orbit, levels = _sweep(m, n_max)
+    pick = _evidence(strong)
     groups: Dict[tuple, List[Pattern]] = {}
-    seen: set = set()
-    for p in _permutations(range(1, m + 1)):
-        if p in seen:
-            continue
-        # reverse and complement keep every histogram: key one pattern per orbit
-        orbit = _orbit(p)
-        seen |= orbit
-        groups.setdefault(_evidence_key(p, n_max, strong), []).extend(orbit)
-    return sorted(sorted(g) for g in groups.values())
+    members = [groups.setdefault(key, [])
+               for key in zip(*[list(map(pick, rows)) for rows in levels])]
+    # patterns arrive in lex order and orbits are numbered in lex order of
+    # their first patterns, so the classes come out sorted
+    for p, o in zip(_permutations(range(1, m + 1)), orbit):
+        members[o].append(p)
+    return list(groups.values())

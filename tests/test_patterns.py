@@ -192,7 +192,7 @@ def test_evidence_classes_s3():
 
 # every horizon of the orbit-keyed classes against the per-pattern oracle
 GROUPING_CASES = [(m, n_max) for m in range(1, 6) for n_max in range(1, 8)] + [
-    (6, n_max) for n_max in range(1, 7)]
+    (6, n_max) for n_max in range(1, 8)]
 
 
 @pytest.mark.parametrize("m,n_max", GROUPING_CASES)
@@ -202,15 +202,37 @@ def test_evidence_classes_match_per_pattern_keying(m, n_max):
                 == evidence_classes_by_pattern(m, n_max, strong)), strong
 
 
+@pytest.mark.parametrize("strong", [True, False])
+def test_short_horizons_give_one_class_in_lex_order(strong):
+    # no text of S_n with n < 7 holds a pattern of length 7
+    s7 = list(permutations(range(1, 8)))
+    for n_max in range(1, 7):
+        assert patterns.evidence_classes(7, n_max, strong) == [s7]
+
+
+@pytest.mark.parametrize("m", range(2, 7))
+def test_window_tables_match_their_definitions(m):
+    s_m, tails = list(permutations(range(1, m + 1))), list(permutations(range(1, m)))
+    lex, suffix, rev = patterns._window_tables(m)
+    assert sorted(lex) == list(range(len(s_m)))
+    for w, x in enumerate(lex):
+        p, (s, j) = s_m[x], divmod(w, m)
+        assert patterns._rank(p) == x
+        assert p[-1] == j + 1 and patterns.standardize(p[:-1]) == tails[s]
+        assert tails[suffix[w]] == patterns.standardize(p[1:])
+        assert s_m[rev[x]] == p[::-1]
+
+
 def test_orbit_histograms_are_shared_but_cannot_leak():
     p, n = (1, 3, 4, 2), 6
     orbit = patterns.symmetry_class(p)
     assert len(orbit) == 4
     want = _histograms_for_length(4, n)[p]
     patterns._sweep.cache_clear()
-    # the sweep stores one histogram dict per orbit under all of its patterns
-    level = patterns._sweep(4, n)[n - 1]
-    assert len({id(level[q]) for q in orbit}) == 1
+    # the sweep stores one row per orbit, which all of its patterns read
+    ids, levels = patterns._sweep(4, n)
+    assert len({ids[patterns._rank(q)] for q in orbit}) == 1
+    assert len(levels[-1]) == 8  # S_4: four orbits of four, four of two (pRC = p)
     hist = patterns.occurrence_histogram(p, n)
     hist.counts.clear()
     hist.counts[0] = -1
@@ -227,6 +249,23 @@ def test_sweep_frees_its_tables_without_the_cycle_collector():
     gc.disable()
     try:
         patterns._sweep.__wrapped__(5, 7)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_classify_leaves_no_reference_cycles():
+    # a self-referencing closure held the branch tables until a full
+    # collection and read as peak RSS: nothing may wait for the collector
+    enabled = gc.isenabled()
+    patterns._sweep.cache_clear()
+    gc.collect()
+    gc.disable()
+    try:
+        patterns._sweep(6, 7)
+        patterns._sweep(5, 8)
+        patterns.evidence_classes(6, 7)
         assert gc.collect() == 0
     finally:
         if enabled:
