@@ -29,14 +29,15 @@ sweep walks only the roots whose first entry is below their second, and
 each orbit {p, pR, pC, pRC} takes the tallies of its first pattern p and of
 pC.  Everything after the walk runs once per orbit: the counts of each
 level (about m!/4 rows) and the keys of ``evidence_classes``.  The cost is
-O(m) per node of depth below n_max, about m (n_max - 1)! / 2 steps, plus
-a few list steps per pattern of S_m for the tables and orbits and one row
-per orbit and level; there is no per-text factor of m!.  ``classify --m 7 --n-max 10``, the
-largest request the caps allow, takes about 1.3 s on one core of a 2-vCPU
-Xeon VM (2.6 s with the whole tree walked).  The per-length brute force
-this replaced ranked every window of every text and tallied all m!
-patterns per text, about 0.9 ms per text at m = 7: an hour for the 4 M
-texts of S_1..S_10.
+O(m) per node of depth below n_max, about m (n_max - 1)! / 2 steps, plus a
+few list steps per pattern of S_m for the tables and orbits and one row
+per orbit and level; there is no per-text factor of m!.
+``classify --m 7 --n-max 10``, the largest request the caps allow, takes
+about 1.6 s on one core of a busy 2-vCPU Xeon VM (1.8 s with the levels
+built per pattern, and 2.6 s on a quieter day with the whole tree walked).
+The per-length brute force this replaced ranked every window of every
+text and tallied all m! patterns per text, about 0.9 ms per text at m = 7:
+an hour for the 4 M texts of S_1..S_10.
 
 Equivalence results obtained here are evidence up to a stated text length,
 never proofs.
@@ -61,8 +62,8 @@ MAX_TEXT_LENGTH = 10
 MAX_CENSUS_LENGTH = 11
 #: Largest pattern length for whole-S_m classification, and for any sweep
 #: that reaches a text of length m: its tables have m! entries and each
-#: level m!/4 orbit rows.  At m = 8 the tables take about 11 ms and a
-#: request with n_max = 8 about 60 ms before its output (2-vCPU Xeon VM).
+#: level m!/4 orbit rows.  At m = 8 the tables take about 10 ms and
+#: ``evidence_classes(8, 8)`` about 50 ms on one core of a 2-vCPU Xeon VM.
 MAX_CLASSIFY_LENGTH = 7
 
 
@@ -190,15 +191,13 @@ class OccurrenceHistogram:
 def _window_tables(m: int) -> Tuple[List[int], List[int], List[int]]:
     """Index tables over S_m, built from those over S_(m-1) by list slices.
 
-    Window w = s*m + j of S_m is the pattern whose first m-1 entries have
-    the pattern of lex rank s in S_(m-1) and whose last entry lies above
-    exactly j of them.  Returns ``lex``, ``suffix`` and ``rev``: lex[w] is
-    the lex rank of window w, suffix[w] the lex rank in S_(m-1) of the
-    pattern of its last m-1 entries, and rev[x] the lex rank of the
-    reverse of the pattern of lex rank x.  A pattern of lex rank
-    (p1-1)*(m-1)! + y starts with p1 and ends in the pattern of lex rank y
-    in S_(m-1), which is itself a window of S_(m-1); reversed, it is the
-    window with tail rev(y) and j = p1 - 1.
+    Window w = s*m + j is the pattern whose first m-1 entries have the
+    pattern of lex rank s in S_(m-1) and whose last entry lies above j of
+    them.  lex[w] is its lex rank, suffix[w] the lex rank of the pattern of
+    its last m-1 entries, and rev[x] the lex rank of the reverse of the
+    pattern of lex rank x.  The pattern of lex rank (p1-1)*(m-1)! + y
+    starts with p1, and y ranks the pattern of the rest, a window of
+    S_(m-1); reversed, it is the window with tail rev(y) and j = p1 - 1.
     """
     lex, rev = [0], [0]  # S_1, whose one window has an empty tail
     for k in range(2, m + 1):
@@ -301,7 +300,7 @@ def _sweep(m: int, n_max: int) -> Tuple[List[int], Tuple[List[List[int]], ...]]:
 
 
 def _histogram(row: List[int], n: int) -> Dict[int, int]:
-    """Histogram over S_n from the counts of texts with at least c = 1, 2, ... occurrences."""
+    """Histogram over S_n from the texts with at least c = 1, 2, ... occurrences."""
     g = [math.factorial(n), *row, 0]
     return {k: g[k] - g[k + 1] for k in range(len(row) + 1) if g[k] != g[k + 1]}
 

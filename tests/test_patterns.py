@@ -244,25 +244,13 @@ def test_orbit_histograms_are_shared_but_cannot_leak():
 def test_sweep_frees_its_tables_without_the_cycle_collector():
     # a table left in a reference cycle waits for a full collection, so
     # in-process callers of cli.run would hold every cleared sweep's tables
-    enabled = gc.isenabled()
-    gc.collect()
-    gc.disable()
-    try:
-        patterns._sweep.__wrapped__(5, 7)
-        assert gc.collect() == 0
-    finally:
-        if enabled:
-            gc.enable()
-
-
-def test_classify_leaves_no_reference_cycles():
-    # a self-referencing closure held the branch tables until a full
-    # collection and read as peak RSS: nothing may wait for the collector
+    # (a self-referencing closure once did, and it read as peak RSS)
     enabled = gc.isenabled()
     patterns._sweep.cache_clear()
     gc.collect()
     gc.disable()
     try:
+        patterns._sweep.__wrapped__(5, 7)
         patterns._sweep(6, 7)
         patterns._sweep(5, 8)
         patterns.evidence_classes(6, 7)
