@@ -13,14 +13,17 @@ append an entry of rank r = 1..d+1 (entries at or above r move up by one),
 so every permutation of every S_n is visited once and adds exactly one new
 window.  That window's pattern comes from a table indexed by the pattern of
 the last m-1 entries and the number j of them below r.  All ranks with the
-same j make the same window, so a node handles its children in m groups,
-and the leaves at depth n_max are counted per group, never visited.  A
-list along the current branch holds each window's occurrence count.  The
-sweep does not tally every pattern at every node: it records how many
-nodes of depth d make the c-th occurrence of window w.  Each depth-(n-1)
-node has n children that inherit its counts, so the number of texts in S_n
-with at least c occurrences of w is n times that number in S_(n-1) plus
-the new ones, and k = 0 is n! minus the rest.
+same j make the same window, so a node handles its children in m groups.
+The last two levels are never visited: a node of depth n_max - 2 tallies
+its children and their leaves in closed form, since the children of one
+group share their window, their tail pattern and their counts, and only
+the two leaf gaps next to the new entry depend on it, linearly.  A list
+along the current branch holds each window's occurrence count.  The sweep
+does not tally every pattern at every node: it records, in one flat list
+per depth d, how many nodes of depth d make the c-th occurrence of window
+w.  Each depth-(n-1) node has n children that inherit its counts, so the
+number of texts in S_n with at least c occurrences of w is n times that
+number in S_(n-1) plus the new ones, and k = 0 is n! minus the rest.
 
 Reverse and complement keep every histogram.  Complement maps the subtree
 under a node of depth m-1 onto the subtree under its complement, and no
@@ -29,12 +32,13 @@ sweep walks only the roots whose first entry is below their second, and
 each orbit {p, pR, pC, pRC} takes the tallies of its first pattern p and of
 pC.  Everything after the walk runs once per orbit: the counts of each
 level (about m!/4 rows) and the keys of ``evidence_classes``.  The cost is
-O(m) per node of depth below n_max, about m (n_max - 1)! / 2 steps, plus a
-few list steps per pattern of S_m for the tables and orbits and one row
-per orbit and level; there is no per-text factor of m!.
-``classify --m 7 --n-max 10``, the largest request the caps allow, takes
-about 1.6 s on one core of a busy 2-vCPU Xeon VM (1.8 s with the levels
-built per pattern, and 2.6 s on a quieter day with the whole tree walked).
+about (n_max - 2)! / 2 calls with m^2 list steps each, plus O(m) per node
+of lower depth, a few list steps per pattern of S_m for the tables and
+orbits, and one row per orbit and level; there is no per-text factor of
+m!.  ``classify --m 7 --n-max 10``, the largest request the caps allow,
+takes about 0.45 s on one core of a 2-vCPU Xeon VM, and ``_sweep(7, 10)``
+0.32 s of it (0.84 s and 0.74 s with every depth-(n_max - 1) node
+visited; 2.6 s on another day with the whole tree walked).
 The per-length brute force this replaced ranked every window of every
 text and tallied all m! patterns per text, about 0.9 ms per text at m = 7:
 an hour for the 4 M texts of S_1..S_10.
@@ -48,7 +52,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations as _permutations
+from itertools import compress, permutations as _permutations
 from operator import itemgetter
 from typing import Dict, List, Sequence, Tuple
 
@@ -62,8 +66,9 @@ MAX_TEXT_LENGTH = 10
 MAX_CENSUS_LENGTH = 11
 #: Largest pattern length for whole-S_m classification, and for any sweep
 #: that reaches a text of length m: its tables have m! entries and each
-#: level m!/4 orbit rows.  At m = 8 the tables take about 10 ms and
-#: ``evidence_classes(8, 8)`` about 50 ms on one core of a 2-vCPU Xeon VM.
+#: level m!/4 orbit rows.  At m = 8 the tables take about 10 ms,
+#: ``evidence_classes(8, 8)`` about 45 ms and ``_sweep(8, 10)`` 0.45-0.67 s
+#: at 28 MiB peak RSS on one core of a 2-vCPU Xeon VM.
 MAX_CLASSIFY_LENGTH = 7
 
 
@@ -230,6 +235,13 @@ def _sweep(m: int, n_max: int) -> Tuple[List[int], Tuple[List[List[int]], ...]]:
     A caller must not change a row.  Texts shorter than m have no
     occurrence, so n_max must be at least m.  A sweep with m >
     MAX_CLASSIFY_LENGTH raises ResourceLimitError before it builds any table.
+
+    ``visit`` calls itself down to depth n_max - 2, about (n_max - 2)!/2
+    calls, and each of those tallies its m groups of children and the m
+    leaf gaps of each group, m^2 list steps; only roots at depth n_max - 1
+    tally their leaves alone.  ``_sweep(7, 10)`` takes about 0.32 s on one
+    core of a 2-vCPU Xeon VM, against 0.74 s when every node of depth
+    n_max - 1 was a call of its own.
     """
     if m == 1:  # every entry is an occurrence of the one pattern
         return [0], tuple([[math.factorial(n)] * n] for n in range(1, n_max + 1))
@@ -239,29 +251,56 @@ def _sweep(m: int, n_max: int) -> Tuple[List[int], Tuple[List[List[int]], ...]]:
     tails = list(_permutations(range(1, m)))
     lex, suffix, rev = _window_tables(m)
     size = len(lex)
-    count = [0] * size  # occurrences of each window on the current branch
-    # first[d][w, c]: the depth-d nodes whose new window w is its c-th occurrence
-    first: List[Dict[Tuple[int, int], int]] = [{} for _ in range(n_max + 1)]
+    # a window occurs at most n_max - m + 1 times in a text of S_n_max, so
+    # slot w*K + c of a flat tally holds window w's c-th occurrence
+    K = n_max - m + 2
+    nxt = list(range(1, size * K, K))  # slot of each window's next occurrence
+    # first[d - m][w*K + c]: the depth-d nodes whose new window w is its
+    # c-th occurrence; no window is complete below depth m
+    first = [[0] * (size * K) for _ in range(m, n_max + 1)]
 
     def visit(d: int, tail: Pattern, s: int) -> None:
         # tail: the last m-1 entries of a permutation in S_d; s: its pattern
         cuts = (0, *sorted(tail), d + 1)
-        base, tally = s * m, first[d + 1]
-        if d + 1 == n_max:  # the children are leaves: tally them only
+        base, tally = s * m, first[d + 1 - m]
+        if d + 1 == n_max:  # roots at depth n_max - 1: tally their leaves only
             for j in range(m):
-                key = (base + j, count[base + j] + 1)
-                tally[key] = tally.get(key, 0) + cuts[j + 1] - cuts[j]
+                tally[nxt[base + j]] += cuts[j + 1] - cuts[j]
             return
         rest = tail[1:]
+        if d + 2 == n_max:  # tally the children and their leaves here
+            leaves, low = first[-1], cuts.index(tail[0])
+            # a child with new entry r keeps the rest of the tail, the values
+            # above r moved up by one, so its leaf gaps are those of rcuts
+            # with the gap around r split in two
+            rcuts = (0, *sorted(rest), d + 1)
+            gaps = [b - a for a, b in zip(rcuts, rcuts[1:])]
+            for j in range(m):
+                lo, hi = cuts[j], cuts[j + 1]
+                g, w = hi - lo, base + j
+                tally[nxt[w]] += g
+                nxt[w] += 1
+                # r runs over (lo, hi], inside gap k of rcuts; summed over
+                # r, the leaf gap below r is g*(lo - rcuts[k]) + g(g+1)/2
+                # and the two gaps around r make g*(gaps[k] + 1)
+                k = j - (low <= j)
+                below = g * (lo - rcuts[k]) + g * (g + 1) // 2
+                sums = [g * x for x in gaps]
+                sums[k:k + 1] = below, g * (gaps[k] + 1) - below
+                x = suffix[w] * m
+                for i, v in zip(nxt[x:x + m], sums):
+                    leaves[i] += v
+                nxt[w] -= 1
+            return
         for j in range(m):
             lo, hi = cuts[j], cuts[j + 1]
             w = base + j
-            c = count[w] = count[w] + 1
-            tally[w, c] = tally.get((w, c), 0) + hi - lo
+            tally[nxt[w]] += hi - lo
+            nxt[w] += 1
             # the ranks r in (lo, hi] sit above exactly j tail entries
             for r in range(lo + 1, hi + 1):
                 visit(d + 1, tuple([v + (v >= r) for v in rest]) + (r,), suffix[w])
-            count[w] = c - 1
+            nxt[w] -= 1
 
     # half the roots (see the module docstring); the complement of window w
     # is m! - 1 - w, since complement reverses the lex order of the tails
@@ -284,17 +323,18 @@ def _sweep(m: int, n_max: int) -> Tuple[List[int], Tuple[List[List[int]], ...]]:
             rows.append([])
     credit = [credit[x] for x in lex]  # by window
     levels = []
-    for n in range(m, n_max + 1):
+    for n, tally in enumerate(first, start=m):
         # each depth-(n-1) node has n children, which inherit its counts
         rows = [[n * g for g in row] for row in rows]
-        for (w, c), nodes in first[n].items():
+        for i in compress(range(len(tally)), tally):
+            w, c = divmod(i, K)
             o = credit[w]
             if o is not None:
                 row = rows[o]
                 if c > len(row):
-                    row.append(nodes)
+                    row.append(tally[i])
                 else:
-                    row[c - 1] += nodes
+                    row[c - 1] += tally[i]
         levels.append(rows)
     return orbit, tuple(levels)
 
@@ -376,10 +416,10 @@ def evidence_classes(m: int, n_max: int, strong: bool = True) -> List[List[Patte
     avoider counts (weak) for n = 1..n_max, then sorted lexicographically.
     """
     require_int("pattern length", m, 1)
+    _check_horizon(n_max)  # both arguments are ints before the m cap
     if m > MAX_CLASSIFY_LENGTH:
         raise ResourceLimitError(
             f"classification supported for m <= {MAX_CLASSIFY_LENGTH}")
-    _check_horizon(n_max)
     if n_max < m:  # every histogram is {0: n!}
         return [list(_permutations(range(1, m + 1)))]
     # reverse and complement keep every histogram: key one row per orbit,

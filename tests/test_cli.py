@@ -270,6 +270,12 @@ def test_classify_empty_horizon_exits_2(n_max):
     assert status == 2 and out == ""
 
 
+def test_classify_bad_horizon_exits_2_past_the_length_cap():
+    # the horizon is refused as bad input (2), not as too large a sweep (3)
+    status, out = run_cli("classify", "--m", "8", "--n-max", "0")
+    assert status == 2 and out == ""
+
+
 @pytest.mark.slow
 def test_classify_largest_request_finishes():
     # m = MAX_CLASSIFY_LENGTH at n = MAX_TEXT_LENGTH: all of S_1..S_10

@@ -266,6 +266,13 @@ def test_bad_classify_lengths_are_refused(m):
         patterns.evidence_classes(m, 4)
 
 
+@pytest.mark.parametrize("m,n_max", [(8, 0), (8, 2.5), (9, "x"), (8, True)])
+def test_bad_horizons_are_refused_before_the_length_cap(m, n_max):
+    # a bad argument is a bad argument, whatever the size of the other one
+    with pytest.raises(InvalidInputError):
+        patterns.evidence_classes(m, n_max)
+
+
 # entries that equal 1..m but are not ints: the one integer rule refuses them
 NON_INT_PATTERNS = [(True, 2, 3), (1, 2, 3.0), (1.0, 2.0, 3.0),
                     (np.int64(1), np.int64(2), np.int64(3)), (1, 2, "3")]
@@ -332,6 +339,20 @@ def test_sweep_matches_brute_force(m, n_top):
             assert swept[n - 1] == want, (p, n)
             # a shorter horizon is a fresh sweep that stops at depth n
             assert patterns.occurrence_histogram(p, n).counts == want, (p, n)
+
+
+# (m, n) where the identity and its reverse fill every window of the text
+TOP_SLOT_CASES = [(m, n) for m in range(2, 7) for n in range(m, 10)] + [(7, 10)]
+
+
+@pytest.mark.parametrize("m,n", TOP_SLOT_CASES)
+def test_most_occurrences_land_in_their_own_slot(m, n):
+    # only 12...n holds n - m + 1 copies of 12...m, the most any text can
+    # hold: the sweep's flat tallies must keep that count apart from the
+    # next window's slots
+    for p in (tuple(range(1, m + 1)), tuple(range(m, 0, -1))):
+        counts = patterns.occurrence_histogram(p, n).counts
+        assert max(counts) == n - m + 1 and counts[n - m + 1] == 1, p
 
 
 def test_single_entry_pattern_occurs_everywhere():
