@@ -18,8 +18,8 @@ The last two levels are never visited: a node of depth n_max - 2 tallies
 its children and their leaves in closed form, since the children of one
 group share their window, their tail pattern and their counts, and only
 the two leaf gaps next to the new entry depend on it, linearly.  A list
-along the current branch holds each window's occurrence count.  The sweep
-does not tally every pattern at every node: it records, in one flat list
+along the current branch holds each window's occurrence count, as the
+tally slot of its next occurrence.  The sweep does not tally every pattern at every node: it records, in one flat list
 per depth d, how many nodes of depth d make the c-th occurrence of window
 w.  Each depth-(n-1) node has n children that inherit its counts, so the
 number of texts in S_n with at least c occurrences of w is n times that
@@ -268,18 +268,20 @@ def _sweep(m: int, n_max: int) -> Tuple[List[int], Tuple[List[List[int]], ...]]:
                 tally[nxt[base + j]] += cuts[j + 1] - cuts[j]
             return
         rest = tail[1:]
-        if d + 2 == n_max:  # tally the children and their leaves here
-            leaves, low = first[-1], cuts.index(tail[0])
+        last = d + 2 == n_max  # tally the children's leaves here too
+        if last:
             # a child with new entry r keeps the rest of the tail, the values
             # above r moved up by one, so its leaf gaps are those of rcuts
             # with the gap around r split in two
             rcuts = (0, *sorted(rest), d + 1)
             gaps = [b - a for a, b in zip(rcuts, rcuts[1:])]
-            for j in range(m):
-                lo, hi = cuts[j], cuts[j + 1]
-                g, w = hi - lo, base + j
-                tally[nxt[w]] += g
-                nxt[w] += 1
+            leaves, low = first[-1], cuts.index(tail[0])
+        for j in range(m):
+            lo, hi = cuts[j], cuts[j + 1]
+            g, w = hi - lo, base + j
+            tally[nxt[w]] += g
+            nxt[w] += 1
+            if last:
                 # r runs over (lo, hi], inside gap k of rcuts; summed over
                 # r, the leaf gap below r is g*(lo - rcuts[k]) + g(g+1)/2
                 # and the two gaps around r make g*(gaps[k] + 1)
@@ -290,16 +292,10 @@ def _sweep(m: int, n_max: int) -> Tuple[List[int], Tuple[List[List[int]], ...]]:
                 x = suffix[w] * m
                 for i, v in zip(nxt[x:x + m], sums):
                     leaves[i] += v
-                nxt[w] -= 1
-            return
-        for j in range(m):
-            lo, hi = cuts[j], cuts[j + 1]
-            w = base + j
-            tally[nxt[w]] += hi - lo
-            nxt[w] += 1
-            # the ranks r in (lo, hi] sit above exactly j tail entries
-            for r in range(lo + 1, hi + 1):
-                visit(d + 1, tuple([v + (v >= r) for v in rest]) + (r,), suffix[w])
+            else:
+                # the ranks r in (lo, hi] sit above exactly j tail entries
+                for r in range(lo + 1, hi + 1):
+                    visit(d + 1, tuple([v + (v >= r) for v in rest]) + (r,), suffix[w])
             nxt[w] -= 1
 
     # half the roots (see the module docstring); the complement of window w

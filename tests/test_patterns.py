@@ -341,7 +341,7 @@ def test_sweep_matches_brute_force(m, n_top):
             assert patterns.occurrence_histogram(p, n).counts == want, (p, n)
 
 
-# (m, n) where the identity and its reverse fill every window of the text
+# (m, n) with m <= n: 12...m fills every window of 12...n, and so does its reverse
 TOP_SLOT_CASES = [(m, n) for m in range(2, 7) for n in range(m, 10)] + [(7, 10)]
 
 
