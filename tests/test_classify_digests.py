@@ -8,7 +8,9 @@ plus m = 7, the largest pattern length the caps allow, at n_max 8 and 9.
 
 ``sweep_digests.json`` pins what ``_sweep(m, n_max)`` returns, the orbit
 of each pattern and every count row, at the benchmark's horizons for
-m = 3..6 (those with n_max >= m) and at m = 7 with n_max 8, 9 and 10.  A wrong count that splits
+m = 3..6 (those with n_max >= m), at m = 7 with n_max 8, 9 and 10, at
+n_max = m for m = 2..7, which the sweep answers without a walk, and at
+(2, 8), the one length that walks every root.  A wrong count that splits
 no class leaves the class digests alone but moves a row digest.
 
 Re-record both files with
@@ -34,8 +36,9 @@ HORIZONS = ((1, (6, 7, 8)), (2, (6, 7, 8)), (3, (6, 7, 8)), (4, (6, 7, 8)),
 CASES = [(m, n_max, strong) for m, horizons in HORIZONS for n_max in horizons
          for strong in (True, False)]
 # a horizon below m needs no sweep: evidence_classes answers it without one
-SWEEPS = [(m, n_max) for m, horizons in HORIZONS[2:6] + ((7, (8, 9, 10)),)
-          for n_max in horizons if n_max >= m]
+SWEEPS = ([(m, n_max) for m, horizons in HORIZONS[2:6] + ((7, (8, 9, 10)),)
+           for n_max in horizons if n_max > m]
+          + [(m, m) for m in range(2, 8)] + [(2, 8)])
 
 
 def _key(m, n_max, strong):
