@@ -7,41 +7,40 @@ occurrence search, reverse/complement, the standard and non-overlapping
 predicates) this module provides exact occurrence histograms over all of
 S_n, which yield finite evidence for (strong) c-Wilf equivalence.
 
-The histograms for every horizon n = 1..n_max come from one depth-first
-sweep of S_n_max.  A node of depth d is a permutation of S_d; its children
-append an entry of rank r = 1..d+1 (entries at or above r move up by one),
-so every permutation of every S_n is visited once and adds exactly one new
-window.  That window's pattern comes from a table indexed by the pattern of
-the last m-1 entries and the number j of them below r.  All ranks with the
-same j make the same window, so a node handles its children in m groups.
-The last two levels are never visited: a node of depth n_max - 2 tallies
-its children and their leaves in closed form, since the children of one
-group share their window, their tail pattern and their counts, and only
-the two leaf gaps next to the new entry depend on it, linearly.  A list
-along the current branch holds each window's occurrence count, as the
-tally slot of its next occurrence.  The sweep does not tally every pattern at every node: it records, in one flat list
-per depth d, how many nodes of depth d make the c-th occurrence of window
-w.  Each depth-(n-1) node has n children that inherit its counts, so the
-number of texts in S_n with at least c occurrences of w is n times that
-number in S_(n-1) plus the new ones, and k = 0 is n! minus the rest.
+The histograms for every horizon n = m..n_max come from one depth-first
+sweep of S_n_max (a shorter text holds no occurrence).  A node of depth d
+is a permutation of S_d; its children append an entry of rank r = 1..d+1
+(entries at or above r move up by one), so every permutation of every S_n
+is visited once and adds exactly one new window.  That window's pattern
+comes from a table indexed by the pattern of the last m-1 entries and the
+number j of them below r.  All ranks with the same j make the same window,
+so a node handles its children in m groups.  The last two levels are never
+visited: a node of depth n_max - 2 tallies its children and their leaves
+in closed form, since the children of one group share their window, their
+tail pattern and their counts, and only the two leaf gaps next to the new
+entry depend on it, linearly.
 
 Reverse and complement keep every histogram.  Complement maps the subtree
 under a node of depth m-1 onto the subtree under its complement, and no
 permutation of S_k with k >= 2 is its own complement, so for m >= 3 the
 sweep walks only the roots whose first entry is below their second, and
 each orbit {p, pR, pC, pRC} takes the tallies of its first pattern p and of
-pC.  Everything after the walk runs once per orbit: the counts of each
-level (about m!/4 rows) and the keys of ``evidence_classes``.  The cost is
-about (n_max - 2)! / 2 calls with m^2 list steps each, plus O(m) per node
-of lower depth, a few list steps per pattern of S_m for the tables and
-orbits, and one row per orbit and level; there is no per-text factor of
-m!.  ``classify --m 7 --n-max 10``, the largest request the caps allow,
-takes about 0.45 s on one core of a 2-vCPU Xeon VM, and ``_sweep(7, 10)``
-0.32 s of it (0.84 s and 0.74 s with every depth-(n_max - 1) node
-visited; 2.6 s on another day with the whole tree walked).
-The per-length brute force this replaced ranked every window of every
-text and tallied all m! patterns per text, about 0.9 ms per text at m = 7:
-an hour for the 4 M texts of S_1..S_10.
+pC.  The orbits are numbered before the walk, so every window tallies
+straight into its orbit's row when the orbit takes its tallies, and into
+one spare row when it does not.  A list along the current branch holds
+each window's next slot in its row, and one flat list per depth d counts
+the depth-d nodes that make each slot's occurrence.  Each depth-(n-1) node has
+n children that inherit its counts, so the number of texts in S_n with at
+least c occurrences is n times that number in S_(n-1) plus the new ones,
+one running list for all rows.  At n_max = m there is no walk: each
+pattern of S_m occurs in one text of S_m, itself.
+
+The cost is about (n_max - 2)!/2 calls with m^2 list steps each, plus O(m)
+per node of lower depth, a few list steps per pattern of S_m for the tables
+and orbits, and one list step per slot, about (m!/4)(n_max - m + 2), per
+level; there is no per-text factor of m!.  ``classify --m 7 --n-max 10``,
+the largest request the caps allow, takes about 0.4 s on one core of a
+2-vCPU Xeon VM, and ``_sweep(7, 10)`` 0.3 s of it.
 
 Equivalence results obtained here are evidence up to a stated text length,
 never proofs.
@@ -52,7 +51,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress, permutations as _permutations
+from itertools import permutations as _permutations
 from operator import itemgetter
 from typing import Dict, List, Sequence, Tuple
 
@@ -66,9 +65,9 @@ MAX_TEXT_LENGTH = 10
 MAX_CENSUS_LENGTH = 11
 #: Largest pattern length for whole-S_m classification, and for any sweep
 #: that reaches a text of length m: its tables have m! entries and each
-#: level m!/4 orbit rows.  At m = 8 the tables take about 10 ms,
-#: ``evidence_classes(8, 8)`` about 45 ms and ``_sweep(8, 10)`` 0.45-0.67 s
-#: at 28 MiB peak RSS on one core of a 2-vCPU Xeon VM.
+#: level m!/4 orbit rows.  At m = 8 the tables take about 6 ms,
+#: ``evidence_classes(8, 8)`` about 25 ms and ``_sweep(8, 10)`` 0.42-0.52 s
+#: at 25 MiB peak RSS on one core of a 2-vCPU Xeon VM.
 MAX_CLASSIFY_LENGTH = 7
 
 
@@ -238,35 +237,43 @@ def _sweep(m: int, n_max: int) -> Tuple[List[int], Tuple[List[List[int]], ...]]:
 
     ``visit`` calls itself down to depth n_max - 2, about (n_max - 2)!/2
     calls, and each of those tallies its m groups of children and the m
-    leaf gaps of each group, m^2 list steps; only roots at depth n_max - 1
-    tally their leaves alone.  ``_sweep(7, 10)`` takes about 0.32 s on one
-    core of a 2-vCPU Xeon VM, against 0.74 s when every node of depth
-    n_max - 1 was a call of its own.
+    leaf gaps of each group, m^2 list steps.  ``_sweep(7, 10)`` takes about
+    0.3 s on one core of a 2-vCPU Xeon VM.
     """
     if m == 1:  # every entry is an occurrence of the one pattern
         return [0], tuple([[math.factorial(n)] * n] for n in range(1, n_max + 1))
     if m > MAX_CLASSIFY_LENGTH:
         raise ResourceLimitError(
             f"occurrence sweeps supported for m <= {MAX_CLASSIFY_LENGTH} once n_max >= m")
-    tails = list(_permutations(range(1, m)))
     lex, suffix, rev = _window_tables(m)
     size = len(lex)
+    # number the orbits {x, xC, xR, xRC} in lex order (complement maps lex
+    # rank x to m! - 1 - x) and credit each one's row with the tallies of
+    # its first pattern and, for half the roots, of that pattern's complement
+    half = m >= 3
+    orbit, credit = [-1] * size, [None] * size
+    rows: List[List[int]] = []
+    for x in range(size):
+        if orbit[x] < 0:
+            r = rev[x]
+            orbit[x] = orbit[size - 1 - x] = orbit[r] = orbit[size - 1 - r] = len(rows)
+            credit[x] = credit[size - 1 - x if half else x] = len(rows)
+            rows.append([1])  # the one text of S_m that holds x is x itself
+    if n_max == m:  # no walk: those rows are the one level
+        return orbit, (rows,)
     # a window occurs at most n_max - m + 1 times in a text of S_n_max, so
-    # slot w*K + c of a flat tally holds window w's c-th occurrence
-    K = n_max - m + 2
-    nxt = list(range(1, size * K, K))  # slot of each window's next occurrence
-    # first[d - m][w*K + c]: the depth-d nodes whose new window w is its
-    # c-th occurrence; no window is complete below depth m
-    first = [[0] * (size * K) for _ in range(m, n_max + 1)]
+    # slot o*K + c of a flat tally holds the c-th occurrences credited to
+    # row o; windows without credit share a spare row after the last one
+    K, spare = n_max - m + 2, len(rows)
+    nxt = [K * (spare if credit[x] is None else credit[x]) + 1 for x in lex]
+    # first[d - m]: the depth-d nodes whose new window makes the occurrence
+    # of each slot; no window is complete below depth m
+    first = [[0] * (K * (spare + 1)) for _ in range(m, n_max + 1)]
 
     def visit(d: int, tail: Pattern, s: int) -> None:
         # tail: the last m-1 entries of a permutation in S_d; s: its pattern
         cuts = (0, *sorted(tail), d + 1)
         base, tally = s * m, first[d + 1 - m]
-        if d + 1 == n_max:  # roots at depth n_max - 1: tally their leaves only
-            for j in range(m):
-                tally[nxt[base + j]] += cuts[j + 1] - cuts[j]
-            return
         rest = tail[1:]
         last = d + 2 == n_max  # tally the children's leaves here too
         if last:
@@ -301,37 +308,17 @@ def _sweep(m: int, n_max: int) -> Tuple[List[int], Tuple[List[List[int]], ...]]:
     # half the roots (see the module docstring); the complement of window w
     # is m! - 1 - w, since complement reverses the lex order of the tails
     # and maps j to m - 1 - j
-    half = m >= 3
-    for s, tail in enumerate(tails):
+    for s, tail in enumerate(_permutations(range(1, m))):
         if not half or tail[0] < tail[1]:
             visit(m - 1, tail, s)
     del visit  # it refers to itself: free the branch tables now, not at a full gc
-    # number the orbits {x, xC, xR, xRC} in lex order (complement maps lex
-    # rank x to m! - 1 - x) and credit each one's rows with the tallies of
-    # its first pattern and, for half the roots, of that pattern's complement
-    orbit, credit = [-1] * size, [None] * size
-    rows: List[List[int]] = []
-    for x in range(size):
-        if orbit[x] < 0:
-            r = rev[x]
-            orbit[x] = orbit[size - 1 - x] = orbit[r] = orbit[size - 1 - r] = len(rows)
-            credit[x] = credit[size - 1 - x if half else x] = len(rows)
-            rows.append([])
-    credit = [credit[x] for x in lex]  # by window
-    levels = []
+    levels, acc = [], [0] * len(first[0])
     for n, tally in enumerate(first, start=m):
         # each depth-(n-1) node has n children, which inherit its counts
-        rows = [[n * g for g in row] for row in rows]
-        for i in compress(range(len(tally)), tally):
-            w, c = divmod(i, K)
-            o = credit[w]
-            if o is not None:
-                row = rows[o]
-                if c > len(row):
-                    row.append(tally[i])
-                else:
-                    row[c - 1] += tally[i]
-        levels.append(rows)
+        acc = [n * g + t for g, t in zip(acc, tally)]
+        # at-least-c counts fall as c grows, and slot 0 of every row stays
+        # 0, so each row ends at its first zero
+        levels.append([acc[i:acc.index(0, i)] for i in range(1, K * spare, K)])
     return orbit, tuple(levels)
 
 
@@ -364,13 +351,6 @@ def _orbit_rows(p: Pattern, n_max: int) -> List[List[int]]:
     return [rows[o] for rows in levels]
 
 
-def _pattern_histograms(p: Pattern, n_max: int) -> List[Dict[int, int]]:
-    """Histograms of ``p`` over S_1, ..., S_n_max."""
-    return ([{0: math.factorial(n)} for n in range(1, min(n_max, len(p) - 1) + 1)]
-            + [_histogram(row, n)
-               for n, row in enumerate(_orbit_rows(p, n_max), start=len(p))])
-
-
 def _evidence(strong: bool):
     """What evidence keeps of a row: all of it, which fixes the histogram
     (strong), or its first entry, n! minus the avoiders (weak)."""
@@ -385,7 +365,9 @@ def occurrence_histogram(pattern: Sequence[int], n: int) -> OccurrenceHistogram:
     """
     p = as_pattern(pattern)
     _check_horizon(n)
-    return OccurrenceHistogram(n, dict(_pattern_histograms(p, n)[-1]))
+    if n < len(p):  # no text is long enough to hold p
+        return OccurrenceHistogram(n, {0: math.factorial(n)})
+    return OccurrenceHistogram(n, _histogram(_orbit_rows(p, n)[-1], n))
 
 
 def cwilf_evidence(p: Sequence[int], q: Sequence[int], n_max: int,

@@ -333,11 +333,14 @@ ORACLE_CASES = [(m, 8) for m in range(1, 6)] + [(6, 7)]
 @pytest.mark.parametrize("m,n_top", ORACLE_CASES)
 def test_sweep_matches_brute_force(m, n_top):
     for p in permutations(range(1, m + 1)):
-        swept = patterns._pattern_histograms(p, n_top)
+        # every level of the n_top sweep, n = m..n_top
+        rows = patterns._orbit_rows(p, n_top)
+        assert len(rows) == n_top - m + 1
+        for n, row in enumerate(rows, start=m):
+            assert patterns._histogram(row, n) == _histograms_for_length(m, n)[p], (p, n)
         for n in range(1, n_top + 1):
-            want = _histograms_for_length(m, n)[p]
-            assert swept[n - 1] == want, (p, n)
             # a shorter horizon is a fresh sweep that stops at depth n
+            want = _histograms_for_length(m, n)[p]
             assert patterns.occurrence_histogram(p, n).counts == want, (p, n)
 
 
@@ -349,7 +352,7 @@ TOP_SLOT_CASES = [(m, n) for m in range(2, 7) for n in range(m, 10)] + [(7, 10)]
 def test_most_occurrences_land_in_their_own_slot(m, n):
     # only 12...n holds n - m + 1 copies of 12...m, the most any text can
     # hold: the sweep's flat tallies must keep that count apart from the
-    # next window's slots
+    # next orbit row's slots
     for p in (tuple(range(1, m + 1)), tuple(range(m, 0, -1))):
         counts = patterns.occurrence_histogram(p, n).counts
         assert max(counts) == n - m + 1 and counts[n - m + 1] == 1, p
