@@ -29,18 +29,18 @@ pC.  The orbits are numbered before the walk, so every window tallies
 straight into its orbit's row when the orbit takes its tallies, and into
 one spare row when it does not.  A list along the current branch holds
 each window's next slot in its row, and one flat list per depth d counts
-the depth-d nodes that make each slot's occurrence.  Each depth-(n-1) node has
-n children that inherit its counts, so the number of texts in S_n with at
-least c occurrences is n times that number in S_(n-1) plus the new ones,
-one running list for all rows.  At n_max = m there is no walk: each
-pattern of S_m occurs in one text of S_m, itself.
+the depth-d nodes that make each slot's occurrence.  Each depth-(n-1)
+node has n children that inherit its counts, so the number of texts in
+S_n with at least c occurrences is n times that number in S_(n-1) plus
+the new ones, one running list for all rows.  At n_max = m there is no
+walk: each pattern of S_m occurs in one text of S_m, itself.
 
 The cost is about (n_max - 2)!/2 calls with m^2 list steps each, plus O(m)
 per node of lower depth, a few list steps per pattern of S_m for the tables
 and orbits, and one list step per slot, about (m!/4)(n_max - m + 2), per
 level; there is no per-text factor of m!.  ``classify --m 7 --n-max 10``,
-the largest request the caps allow, takes about 0.4 s on one core of a
-2-vCPU Xeon VM, and ``_sweep(7, 10)`` 0.3 s of it.
+the largest request the caps allow, takes 0.4-0.6 s on one core of a
+2-vCPU Xeon VM, and ``_sweep(7, 10)`` about 0.3 s of it.
 
 Equivalence results obtained here are evidence up to a stated text length,
 never proofs.
