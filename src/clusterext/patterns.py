@@ -25,22 +25,24 @@ under a node of depth m-1 onto the subtree under its complement, and no
 permutation of S_k with k >= 2 is its own complement, so for m >= 3 the
 sweep walks only the roots whose first entry is below their second, and
 each orbit {p, pR, pC, pRC} takes the tallies of its first pattern p and of
-pC.  The orbits are numbered before the walk, so every window tallies
-straight into its orbit's row when the orbit takes its tallies, and into
-one spare row when it does not.  A list along the current branch holds
-each window's next slot in its row, and one flat list per depth d counts
-the depth-d nodes that make each slot's occurrence.  Each depth-(n-1)
-node has n children that inherit its counts, so the number of texts in
-S_n with at least c occurrences is n times that number in S_(n-1) plus
-the new ones, one running list for all rows.  At n_max = m there is no
-walk: each pattern of S_m occurs in one text of S_m, itself.
+pC.  The orbits are numbered before the walk, so every window whose orbit
+takes its tallies counts straight into that orbit's row, and the walk
+tallies no other window (pR and pRC, and pC at m = 2): about half of them.
+A list along the current branch holds each such window's next slot in its
+row, and one flat list per depth d counts the depth-d nodes that make each
+slot's occurrence.  Each depth-(n-1) node has n children that inherit its
+counts, so the number of texts in S_n with at least c occurrences is n
+times that number in S_(n-1) plus the new ones, one running list for all
+rows.  At n_max = m there is no walk: each pattern of S_m occurs in one
+text of S_m, itself.
 
-The cost is about (n_max - 2)!/2 calls with m^2 list steps each, plus O(m)
-per node of lower depth, a few list steps per pattern of S_m for the tables
-and orbits, and one list step per slot, about (m!/4)(n_max - m + 2), per
-level; there is no per-text factor of m!.  ``classify --m 7 --n-max 10``,
-the largest request the caps allow, takes 0.4-0.6 s on one core of a
-2-vCPU Xeon VM, and ``_sweep(7, 10)`` about 0.3 s of it.
+The cost is about (n_max - 2)!/2 calls with m group steps and about m^2/2
+leaf steps each, plus O(m) per node of lower depth, a few list steps per
+pattern of S_m for the tables and orbits, and one list step per slot,
+about (m!/4)(n_max - m + 2), per level; there is no per-text factor of m!.
+``classify --m 7 --n-max 10``, the largest request the caps allow, takes
+0.3-0.5 s on one core of a 2-vCPU Xeon VM, and ``_sweep(7, 10)`` about
+0.25 s of it.
 
 Equivalence results obtained here are evidence up to a stated text length,
 never proofs.
@@ -236,9 +238,10 @@ def _sweep(m: int, n_max: int) -> Tuple[List[int], Tuple[List[List[int]], ...]]:
     MAX_CLASSIFY_LENGTH raises ResourceLimitError before it builds any table.
 
     ``visit`` calls itself down to depth n_max - 2, about (n_max - 2)!/2
-    calls, and each of those tallies its m groups of children and the m
-    leaf gaps of each group, m^2 list steps.  ``_sweep(7, 10)`` takes about
-    0.3 s on one core of a 2-vCPU Xeon VM.
+    calls, and each of those tallies its m groups of children and, in each
+    group, the leaf gaps of the windows whose orbit takes their tallies,
+    about m^2/2 list steps.  ``_sweep(7, 10)`` takes about 0.25 s on one
+    core of a 2-vCPU Xeon VM.
     """
     if m == 1:  # every entry is an occurrence of the one pattern
         return [0], tuple([[math.factorial(n)] * n] for n in range(1, n_max + 1))
@@ -263,12 +266,15 @@ def _sweep(m: int, n_max: int) -> Tuple[List[int], Tuple[List[List[int]], ...]]:
         return orbit, (rows,)
     # a window occurs at most n_max - m + 1 times in a text of S_n_max, so
     # slot o*K + c of a flat tally holds the c-th occurrences credited to
-    # row o; windows without credit share a spare row after the last one
-    K, spare = n_max - m + 2, len(rows)
-    nxt = [K * (spare if credit[x] is None else credit[x]) + 1 for x in lex]
+    # row o; a window without credit has no slot, and nxt 0
+    K = n_max - m + 2
+    nxt = [0 if credit[x] is None else K * credit[x] + 1 for x in lex]
+    # the j's of the windows with credit, per tail pattern
+    taken = [tuple(j for j in range(m) if nxt[s * m + j])
+             for s in range(size // m)]
     # first[d - m]: the depth-d nodes whose new window makes the occurrence
     # of each slot; no window is complete below depth m
-    first = [[0] * (K * (spare + 1)) for _ in range(m, n_max + 1)]
+    first = [[0] * (K * len(rows) + 1) for _ in range(m, n_max + 1)]
 
     def visit(d: int, tail: Pattern, s: int) -> None:
         # tail: the last m-1 entries of a permutation in S_d; s: its pattern
@@ -286,8 +292,10 @@ def _sweep(m: int, n_max: int) -> Tuple[List[int], Tuple[List[List[int]], ...]]:
         for j in range(m):
             lo, hi = cuts[j], cuts[j + 1]
             g, w = hi - lo, base + j
-            tally[nxt[w]] += g
-            nxt[w] += 1
+            i = nxt[w]  # 0 when w's orbit does not take its tallies
+            if i:
+                tally[i] += g
+                nxt[w] = i + 1
             if last:
                 # r runs over (lo, hi], inside gap k of rcuts; summed over
                 # r, the leaf gap below r is g*(lo - rcuts[k]) + g(g+1)/2
@@ -296,14 +304,16 @@ def _sweep(m: int, n_max: int) -> Tuple[List[int], Tuple[List[List[int]], ...]]:
                 below = g * (lo - rcuts[k]) + g * (g + 1) // 2
                 sums = [g * x for x in gaps]
                 sums[k:k + 1] = below, g * (gaps[k] + 1) - below
-                x = suffix[w] * m
-                for i, v in zip(nxt[x:x + m], sums):
-                    leaves[i] += v
+                u = suffix[w]  # the tail pattern of the leaves' windows
+                y = u * m
+                for t in taken[u]:
+                    leaves[nxt[y + t]] += sums[t]
             else:
                 # the ranks r in (lo, hi] sit above exactly j tail entries
                 for r in range(lo + 1, hi + 1):
                     visit(d + 1, tuple([v + (v >= r) for v in rest]) + (r,), suffix[w])
-            nxt[w] -= 1
+            if i:
+                nxt[w] = i
 
     # half the roots (see the module docstring); the complement of window w
     # is m! - 1 - w, since complement reverses the lex order of the tails
@@ -316,9 +326,10 @@ def _sweep(m: int, n_max: int) -> Tuple[List[int], Tuple[List[List[int]], ...]]:
     for n, tally in enumerate(first, start=m):
         # each depth-(n-1) node has n children, which inherit its counts
         acc = [n * g + t for g, t in zip(acc, tally)]
-        # at-least-c counts fall as c grows, and slot 0 of every row stays
-        # 0, so each row ends at its first zero
-        levels.append([acc[i:acc.index(0, i)] for i in range(1, K * spare, K)])
+        # at-least-c counts fall as c grows, and slot 0 of every row, like
+        # the one slot after the last row, stays 0, so each row ends at its
+        # first zero
+        levels.append([acc[i:acc.index(0, i)] for i in range(1, K * len(rows), K)])
     return orbit, tuple(levels)
 
 

@@ -358,6 +358,23 @@ def test_most_occurrences_land_in_their_own_slot(m, n):
         assert max(counts) == n - m + 1 and counts[n - m + 1] == 1, p
 
 
+# one sweep per m at the longest horizon, and m = 7 at both of its horizons
+ROW_SUM_CASES = [(m, patterns.MAX_TEXT_LENGTH) for m in range(2, 7)] + [(7, 9), (7, 10)]
+
+
+@pytest.mark.parametrize("m,n_max", ROW_SUM_CASES)
+def test_every_sweep_row_sums_to_the_expected_occurrences(m, n_max):
+    # every window is uniform over S_m, so the occurrences of one pattern
+    # summed over S_n number (n - m + 1) n!/m!; row[c-1] counts the texts
+    # with at least c of them, so the row sums to that number
+    orbit, levels = patterns._sweep(m, n_max)
+    assert len(levels) == n_max - m + 1
+    for n, rows in enumerate(levels, start=m):
+        assert len(rows) == max(orbit) + 1
+        for o, row in enumerate(rows):
+            assert math.factorial(m) * sum(row) == (n - m + 1) * math.factorial(n), (n, o)
+
+
 def test_single_entry_pattern_occurs_everywhere():
     for n in range(1, 9):
         assert patterns.occurrence_histogram((1,), n).counts == {n: math.factorial(n)}
