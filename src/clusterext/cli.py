@@ -42,7 +42,8 @@ class _Result(NamedTuple):
 
     ``document`` is the ``--format json`` value; ``header`` and ``rows`` are
     the csv lines and the table grid.  In table format, ``text`` replaces
-    the grid when it is set, and ``footer`` is a line after the grid.
+    the grid when it is set, and ``footer`` is a line after the grid;
+    ``csv_footer`` is a last line of csv fields.
     """
 
     document: object
@@ -50,6 +51,7 @@ class _Result(NamedTuple):
     rows: Sequence[Sequence]
     text: Optional[str] = None
     footer: Optional[str] = None
+    csv_footer: Sequence[str] = ()
 
 
 def _emit(fmt: str, result: _Result, out) -> None:
@@ -62,6 +64,8 @@ def _emit(fmt: str, result: _Result, out) -> None:
     lines = [list(result.header)] + [[_fmt(v) for v in row] for row in result.rows]
     if fmt == "csv":
         out.writelines(",".join(line) + "\n" for line in lines)
+        if result.csv_footer:
+            out.write(",".join(result.csv_footer) + "\n")
         return
     widths = [max(map(len, column)) for column in zip(*lines)]
     out.writelines("  ".join(c.ljust(w) for c, w in zip(line, widths)).rstrip()
@@ -159,8 +163,9 @@ def _cmd_compare(args) -> _Result:
     rows = [(n, first[n - 1], second[n - 1], first[n - 1] < second[n - 1])
             for n in range(1, args.n_max + 1)]
     header = ("n", "count_1", "count_2", "ordered")
+    shown = "none" if n0 is None else str(n0)
     return _Result({"n0": n0, "rows": _records(header, rows)}, header, rows,
-                   footer=f"n0={'none' if n0 is None else n0}")
+                   footer=f"n0={shown}", csv_footer=("n0", shown))
 
 
 def _cmd_profile(args) -> _Result:

@@ -133,6 +133,17 @@ def test_compare_json():
     assert len(data["rows"]) == 8
 
 
+@pytest.mark.parametrize("n_max,n0", [("8", "2"), ("1", "none")])
+def test_compare_csv_ends_with_n0(n_max, n0):
+    # every format prints n0: the table as n0=<value>, csv as a last line
+    status, out = run_cli("compare", "--m", "6", "--a", "1", "--b", "3",
+                          "--a2", "2", "--b2", "4", "--n-max", n_max,
+                          "--format", "csv")
+    lines = out.splitlines()
+    assert status == 0 and lines[0] == "n,count_1,count_2,ordered"
+    assert len(lines) == int(n_max) + 2 and lines[-1] == f"n0,{n0}"
+
+
 def test_compare_runs_each_sweep_once(monkeypatch):
     from clusterext import asymptotics
 
