@@ -41,8 +41,8 @@ leaf steps each, plus O(m) per node of lower depth, a few list steps per
 pattern of S_m for the tables and orbits, and one list step per slot,
 about (m!/4)(n_max - m + 2), per level; there is no per-text factor of m!.
 ``classify --m 7 --n-max 10``, the largest request the caps allow, takes
-0.3-0.5 s on one core of a 2-vCPU Xeon VM, and ``_sweep(7, 10)`` about
-0.25 s of it.
+0.4-0.5 s on one core of a 2-vCPU Xeon VM, and ``_sweep(7, 10)`` 0.25-0.3 s
+of it.
 
 Equivalence results obtained here are evidence up to a stated text length,
 never proofs.
@@ -68,7 +68,7 @@ MAX_CENSUS_LENGTH = 11
 #: Largest pattern length for whole-S_m classification, and for any sweep
 #: that reaches a text of length m: its tables have m! entries and each
 #: level m!/4 orbit rows.  At m = 8 the tables take about 6 ms,
-#: ``evidence_classes(8, 8)`` about 25 ms and ``_sweep(8, 10)`` 0.42-0.52 s
+#: ``evidence_classes(8, 8)`` about 26 ms and ``_sweep(8, 10)`` 0.44-0.72 s
 #: at 25 MiB peak RSS on one core of a 2-vCPU Xeon VM.
 MAX_CLASSIFY_LENGTH = 7
 
@@ -240,8 +240,8 @@ def _sweep(m: int, n_max: int) -> Tuple[List[int], Tuple[List[List[int]], ...]]:
     ``visit`` calls itself down to depth n_max - 2, about (n_max - 2)!/2
     calls, and each of those tallies its m groups of children and, in each
     group, the leaf gaps of the windows whose orbit takes their tallies,
-    about m^2/2 list steps.  ``_sweep(7, 10)`` takes about 0.25 s on one
-    core of a 2-vCPU Xeon VM.
+    about m^2/2 list steps.  ``_sweep(7, 10)`` takes 0.25-0.3 s on one core
+    of a 2-vCPU Xeon VM.
     """
     if m == 1:  # every entry is an occurrence of the one pattern
         return [0], tuple([[math.factorial(n)] * n] for n in range(1, n_max + 1))

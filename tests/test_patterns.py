@@ -358,7 +358,7 @@ def test_most_occurrences_land_in_their_own_slot(m, n):
         assert max(counts) == n - m + 1 and counts[n - m + 1] == 1, p
 
 
-# one sweep per m at the longest horizon, and m = 7 at both of its horizons
+# one sweep per m at the longest horizon, and m = 7 also at n_max = 9
 ROW_SUM_CASES = [(m, patterns.MAX_TEXT_LENGTH) for m in range(2, 7)] + [(7, 9), (7, 10)]
 
 
