@@ -42,16 +42,16 @@ class _Result(NamedTuple):
 
     ``document`` is the ``--format json`` value; ``header`` and ``rows`` are
     the csv lines and the table grid.  In table format, ``text`` replaces
-    the grid when it is set, and ``footer`` is a line after the grid;
-    ``csv_footer`` is a last line of csv fields.
+    the grid when it is set.  ``summary`` holds (name, value) pairs that the
+    document already carries: the table prints them as one ``name=value``
+    line after the grid, csv as one ``name,value`` line each after the rows.
     """
 
     document: object
     header: Sequence[str]
     rows: Sequence[Sequence]
     text: Optional[str] = None
-    footer: Optional[str] = None
-    csv_footer: Sequence[str] = ()
+    summary: Sequence[Tuple[str, object]] = ()
 
 
 def _emit(fmt: str, result: _Result, out) -> None:
@@ -62,16 +62,15 @@ def _emit(fmt: str, result: _Result, out) -> None:
         out.write(result.text)
         return
     lines = [list(result.header)] + [[_fmt(v) for v in row] for row in result.rows]
+    summary = [[name, _fmt(value)] for name, value in result.summary]
     if fmt == "csv":
-        out.writelines(",".join(line) + "\n" for line in lines)
-        if result.csv_footer:
-            out.write(",".join(result.csv_footer) + "\n")
+        out.writelines(",".join(line) + "\n" for line in lines + summary)
         return
     widths = [max(map(len, column)) for column in zip(*lines)]
     out.writelines("  ".join(c.ljust(w) for c, w in zip(line, widths)).rstrip()
                    + "\n" for line in lines)
-    if result.footer is not None:
-        out.write(result.footer + "\n")
+    if summary:
+        out.write(" ".join("=".join(pair) for pair in summary) + "\n")
 
 
 def _write_svg(path: str, curve: List[Tuple[float, float]],
@@ -163,9 +162,8 @@ def _cmd_compare(args) -> _Result:
     rows = [(n, first[n - 1], second[n - 1], first[n - 1] < second[n - 1])
             for n in range(1, args.n_max + 1)]
     header = ("n", "count_1", "count_2", "ordered")
-    shown = "none" if n0 is None else str(n0)
     return _Result({"n0": n0, "rows": _records(header, rows)}, header, rows,
-                   footer=f"n0={shown}", csv_footer=("n0", shown))
+                   summary=[("n0", "none" if n0 is None else n0)])
 
 
 def _cmd_profile(args) -> _Result:
@@ -177,7 +175,7 @@ def _cmd_profile(args) -> _Result:
                     "lambda": table.slope_minimum, "t": t, "f": f,
                     "fprime": [_json_safe(v) for v in fprime]},
                    ("t", "f", "fprime"), list(zip(t, f, fprime)),
-                   footer=f"lambda={_fmt(table.slope_minimum)}")
+                   summary=[("lambda", table.slope_minimum)])
 
 
 def _cmd_sample(args) -> _Result:
@@ -200,8 +198,8 @@ def _cmd_sample(args) -> _Result:
                     "mean_deviation": report.mean_deviation,
                     "rows": _records(header, report.rows)},
                    header, report.rows,
-                   footer=f"max_deviation={_fmt(report.max_deviation)} "
-                          f"mean_deviation={_fmt(report.mean_deviation)}")
+                   summary=[("max_deviation", report.max_deviation),
+                            ("mean_deviation", report.mean_deviation)])
 
 
 def _cmd_classify(args) -> _Result:
@@ -405,7 +403,3 @@ def run(argv: Optional[Sequence[str]] = None, out=None) -> int:
 
 def main() -> None:
     sys.exit(run())
-
-
-if __name__ == "__main__":
-    main()

@@ -144,6 +144,33 @@ def test_compare_csv_ends_with_n0(n_max, n0):
     assert len(lines) == int(n_max) + 2 and lines[-1] == f"n0,{n0}"
 
 
+SUMMARY_REQUESTS = {
+    "compare-n0=2": ("compare --m 6 --a 1 --b 3 --a2 2 --b2 4 --n-max 8", ["n0"]),
+    "compare-n0=none": ("compare --m 6 --a 1 --b 3 --a2 2 --b2 4 --n-max 1",
+                        ["n0"]),
+    "profile": ("profile --m 8 --a 3 --b 5 --points 20", ["lambda"]),
+    "sample": ("sample --m 3 --a 1 --b 2 --n 4 --samples 40 --burnin 20000 "
+               "--thinning 200 --seed 7", ["max_deviation", "mean_deviation"]),
+}
+
+
+@pytest.mark.parametrize("request_argv, names", SUMMARY_REQUESTS.values(),
+                         ids=SUMMARY_REQUESTS)
+def test_summary_is_printed_in_every_format(request_argv, names):
+    argv = request_argv.split()
+    status, out = run_cli(*argv, "--format", "json")
+    document = json.loads(out)
+    assert status == 0
+    pairs = [(name, "none" if document[name] is None else cli._fmt(document[name]))
+             for name in names]
+    status, out = run_cli(*argv)
+    assert status == 0
+    assert out.splitlines()[-1] == " ".join(f"{k}={v}" for k, v in pairs)
+    status, out = run_cli(*argv, "--format", "csv")
+    assert status == 0
+    assert out.splitlines()[-len(pairs):] == [f"{k},{v}" for k, v in pairs]
+
+
 def test_compare_runs_each_sweep_once(monkeypatch):
     from clusterext import asymptotics
 
@@ -172,7 +199,7 @@ def test_profile_csv_and_svg(tmp_path):
     assert status == 0
     lines = out.strip().split("\n")
     assert lines[0] == "t,f,fprime"
-    assert len(lines) == 22
+    assert len(lines) == 23 and lines[-1].startswith("lambda,")
     text = svg_path.read_text()
     assert text.startswith("<svg") and "polyline" in text
     # (3,1,2) has the closed form f(t) = 1 - sqrt(1 - t)
@@ -181,7 +208,7 @@ def test_profile_csv_and_svg(tmp_path):
     assert status == 0
     lines = out.strip().split("\n")
     assert lines[0] == "t,f,fprime"
-    assert len(lines) == 6
+    assert len(lines) == 7
     row = lines[3].split(",")
     assert float(row[0]) == pytest.approx(0.5)
     assert float(row[1]) == pytest.approx(1 - math.sqrt(0.5), abs=1e-10)
@@ -239,8 +266,11 @@ def test_sample_csv_and_svg(tmp_path):
     assert status == 0 and out1 == out2  # deterministic given seed
     lines = out1.strip().split("\n")
     assert lines[0] == "i,mean_height,reference_f,abs_deviation"
-    assert len(lines) == 4 + 2  # header and n + 1 glue elements
-    rows = [line.split(",") for line in lines[1:]]
+    # header, n + 1 glue elements and the two deviations
+    assert len(lines) == 4 + 2 + 2
+    assert [line.split(",")[0] for line in lines[-2:]] == ["max_deviation",
+                                                          "mean_deviation"]
+    rows = [line.split(",") for line in lines[1:-2]]
     assert [int(row[0]) for row in rows] == list(range(5))
     for _, mh, ref, dev in rows:
         assert abs(float(mh) - float(ref)) == pytest.approx(float(dev), abs=1e-12)
@@ -453,13 +483,13 @@ def test_command_table_drives_format_and_handler(monkeypatch):
     assert run_cli("check", "--format", "json")[0] == 2
 
     help_line, add_arguments, _ = cli._COMMANDS["constant"]
-    stub = cli._Result({"stub": True}, ("k",), [(1,)], footer="end")
+    stub = cli._Result({"stub": True}, ("k",), [(1,)], summary=[("end", 2)])
     monkeypatch.setitem(cli._COMMANDS, "constant",
                         (help_line, add_arguments, lambda args: stub))
     argv = ["constant", *REQUIRED_ARGV["constant"].split()]
     assert run_cli(*argv, "--format", "json") == (0, '{"stub": true}\n')
-    assert run_cli(*argv, "--format", "csv") == (0, "k\n1\n")
-    assert run_cli(*argv) == (0, "k\n1\nend\n")
+    assert run_cli(*argv, "--format", "csv") == (0, "k\n1\nend,2\n")
+    assert run_cli(*argv) == (0, "k\n1\nend=2\n")
 
 
 def test_module_entry_point_matches_run(monkeypatch):
