@@ -16,7 +16,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 from . import asymptotics, exact_counts, patterns, posets, profiles, sampling
 from .errors import (DegenerateParameterError, DomainError,
                      InternalConsistencyError, InvalidInputError,
-                     ResourceLimitError, require_int)
+                     ResourceLimitError, require_at_most, require_int)
 
 USAGE_ERROR = 2
 RESOURCE_ERROR = 3
@@ -115,9 +115,8 @@ def _cmd_count(args) -> _Result:
     params = _cluster_params(args)
     if args.method == "brute":
         size = params.p_size if args.variant == "p" else params.q_size
-        if size > posets.MAX_BRUTEFORCE_ELEMENTS:  # refuse before building the poset
-            raise ResourceLimitError(f"brute-force counting supports at most "
-                                     f"{posets.MAX_BRUTEFORCE_ELEMENTS} elements")
+        # refuse before building the poset
+        require_at_most("brute-force poset size", size, posets.MAX_BRUTEFORCE_ELEMENTS)
         poset = (posets.cluster_poset(params) if args.variant == "p"
                  else posets.modified_cluster_poset(params))
         count = posets.count_linear_extensions_bruteforce(poset)

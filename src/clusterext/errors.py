@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and its one integer-argument rule.
+"""Exception types shared across the package, its one integer-argument rule
+and its one budget rule.
 
 Every integer argument of the public API (the fields of ``ClusterParams``,
 text and pattern lengths, pattern entries, grid sizes, sample counts, step
@@ -6,6 +7,13 @@ counts, seeds) goes through :func:`require_int`: it must be an ``int`` that
 is not a ``bool`` and lies at or above its lower bound, or the call raises
 :class:`InvalidInputError` before any count, table entry or chain step is
 computed.
+
+Every resource cap (the ``MAX_*`` constants, each kept next to the cost
+note that justifies it) goes through :func:`require_at_most`, which raises
+:class:`ResourceLimitError` with one message form.  A cap is checked only
+after every argument of the call has been validated, so a request that is
+both malformed and over budget raises InvalidInputError (CLI exit code 2),
+not ResourceLimitError (exit code 3), and no work starts before either.
 """
 
 
@@ -33,3 +41,9 @@ def require_int(name: str, value: object, low: int) -> None:
     """Raise InvalidInputError unless ``value`` is an int, not a bool, and >= ``low``."""
     if type(value) is not int or value < low:  # type() also refuses bool
         raise InvalidInputError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
+def require_at_most(name: str, value: int, cap: int) -> None:
+    """Raise ResourceLimitError unless ``value`` <= ``cap``; check arguments first."""
+    if value > cap:
+        raise ResourceLimitError(f"{name} {value} exceeds the cap of {cap}")

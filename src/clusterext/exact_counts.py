@@ -34,7 +34,8 @@ import math
 from itertools import islice
 from typing import TYPE_CHECKING, Iterator, List, Sequence, Tuple
 
-from .errors import InternalConsistencyError, InvalidInputError, ResourceLimitError
+from .errors import (InternalConsistencyError, InvalidInputError, require_at_most,
+                     require_int)
 from .posets import ClusterParams
 
 if TYPE_CHECKING:
@@ -81,10 +82,7 @@ def _checked_degree(m: int, a: int, b: int, n: int, v: str) -> int:
     if v not in ("p", "q"):
         raise InvalidInputError(f"variant must be 'p' or 'q', got {v!r}")
     degree = (m - 1) * n + ((a - 1) + (m - b) if v == "q" else 0)
-    if degree > MAX_INTEGRAL_DEGREE:
-        raise ResourceLimitError(
-            f"iterated integral degree {degree} exceeds the cap "
-            f"{MAX_INTEGRAL_DEGREE}")
+    require_at_most("iterated integral degree", degree, MAX_INTEGRAL_DEGREE)
     return degree
 
 
@@ -155,6 +153,7 @@ def exact_count_sweep(m: int, a: int, b: int, n_max: int,
     >>> exact_count_sweep(3, 1, 2, 4)
     [1, 3, 15, 105]
     """
+    require_int("n_max", n_max, 1)
     ClusterParams(m, a, b, n_max)  # validate the shape before the degree budget
     _checked_degree(m, a, b, n_max, variant)
     integrands = islice(_integrands(m, a, b, variant), n_max)

@@ -57,7 +57,7 @@ from itertools import permutations as _permutations
 from operator import itemgetter
 from typing import Dict, List, Sequence, Tuple
 
-from .errors import InvalidInputError, ResourceLimitError, require_int
+from .errors import InvalidInputError, require_at_most, require_int
 
 Pattern = Tuple[int, ...]
 
@@ -170,8 +170,7 @@ def nonoverlapping_fraction(m: int) -> float:
     ``MAX_CENSUS_LENGTH`` = 11.
     """
     require_int("pattern length", m, 2)
-    if m > MAX_CENSUS_LENGTH:
-        raise ResourceLimitError(f"census supported for m <= {MAX_CENSUS_LENGTH}")
+    require_at_most("census pattern length", m, MAX_CENSUS_LENGTH)
     count = sum(1 for p in _permutations(range(1, m + 1)) if is_nonoverlapping(p))
     return count / math.factorial(m)
 
@@ -245,9 +244,7 @@ def _sweep(m: int, n_max: int) -> Tuple[List[int], Tuple[List[List[int]], ...]]:
     """
     if m == 1:  # every entry is an occurrence of the one pattern
         return [0], tuple([[math.factorial(n)] * n] for n in range(1, n_max + 1))
-    if m > MAX_CLASSIFY_LENGTH:
-        raise ResourceLimitError(
-            f"occurrence sweeps supported for m <= {MAX_CLASSIFY_LENGTH} once n_max >= m")
+    require_at_most("swept pattern length", m, MAX_CLASSIFY_LENGTH)
     lex, suffix, rev = _window_tables(m)
     size = len(lex)
     # number the orbits {x, xC, xR, xRC} in lex order (complement maps lex
@@ -347,12 +344,6 @@ def _rank(p: Pattern) -> int:
     return r
 
 
-def _check_horizon(n: int) -> None:
-    require_int("text length", n, 1)
-    if n > MAX_TEXT_LENGTH:
-        raise ResourceLimitError(f"text enumeration supported for n <= {MAX_TEXT_LENGTH}")
-
-
 def _orbit_rows(p: Pattern, n_max: int) -> List[List[int]]:
     """The rows of ``p``'s orbit for n = m..n_max, read from the cached sweep."""
     if n_max < len(p):  # no text is long enough to hold p: no table needed
@@ -375,7 +366,8 @@ def occurrence_histogram(pattern: Sequence[int], n: int) -> OccurrenceHistogram:
     True
     """
     p = as_pattern(pattern)
-    _check_horizon(n)
+    require_int("text length", n, 1)
+    require_at_most("text length", n, MAX_TEXT_LENGTH)
     if n < len(p):  # no text is long enough to hold p
         return OccurrenceHistogram(n, {0: math.factorial(n)})
     return OccurrenceHistogram(n, _histogram(_orbit_rows(p, n)[-1], n))
@@ -392,7 +384,8 @@ def cwilf_evidence(p: Sequence[int], q: Sequence[int], n_max: int,
     pp, qq = as_pattern(p), as_pattern(q)
     if len(pp) != len(qq):
         raise InvalidInputError("patterns must have the same length")
-    _check_horizon(n_max)
+    require_int("text length", n_max, 1)
+    require_at_most("text length", n_max, MAX_TEXT_LENGTH)
     pick = _evidence(strong)
     return (list(map(pick, _orbit_rows(pp, n_max)))
             == list(map(pick, _orbit_rows(qq, n_max))))
@@ -405,10 +398,9 @@ def evidence_classes(m: int, n_max: int, strong: bool = True) -> List[List[Patte
     avoider counts (weak) for n = 1..n_max, then sorted lexicographically.
     """
     require_int("pattern length", m, 1)
-    _check_horizon(n_max)  # both arguments are ints before the m cap
-    if m > MAX_CLASSIFY_LENGTH:
-        raise ResourceLimitError(
-            f"classification supported for m <= {MAX_CLASSIFY_LENGTH}")
+    require_int("text length", n_max, 1)
+    require_at_most("text length", n_max, MAX_TEXT_LENGTH)
+    require_at_most("classified pattern length", m, MAX_CLASSIFY_LENGTH)
     if n_max < m:  # every histogram is {0: n!}
         return [list(_permutations(range(1, m + 1)))]
     # reverse and complement keep every histogram: key one row per orbit,

@@ -18,7 +18,7 @@ from functools import cached_property
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .errors import (DomainError, InternalConsistencyError, InvalidInputError,
-                     ResourceLimitError, require_int)
+                     require_at_most, require_int)
 
 #: Cap for the order-ideal dynamic program (bitmask-indexed).
 MAX_BRUTEFORCE_ELEMENTS = 24
@@ -227,9 +227,7 @@ def count_linear_extensions_bruteforce(poset: FinitePoset) -> int:
     ideal bitmask.  Limited to MAX_BRUTEFORCE_ELEMENTS elements.
     """
     n = len(poset)
-    if n > MAX_BRUTEFORCE_ELEMENTS:
-        raise ResourceLimitError(
-            f"brute-force counting supports at most {MAX_BRUTEFORCE_ELEMENTS} elements")
+    require_at_most("brute-force poset size", n, MAX_BRUTEFORCE_ELEMENTS)
     if n == 0:
         return 1
     up = poset.strict_upsets

@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Sequence, Tuple
 from .asymptotics import log_beta
 from .errors import (DegenerateParameterError, DomainError,
                      InternalConsistencyError, InvalidInputError,
-                     ResourceLimitError, require_int)
+                     require_at_most, require_int)
 from .posets import ClusterParams
 
 if TYPE_CHECKING:  # numpy is imported by the functions that use it
@@ -203,20 +203,15 @@ class ProfileTable:
     slope_minimum: float
 
 
-def _check_grid_size(grid_size: int) -> None:
-    require_int("grid_size", grid_size, 2)
-    if grid_size > MAX_PROFILE_POINTS:
-        raise ResourceLimitError(f"grid_size {grid_size} exceeds the cap of "
-                                 f"{MAX_PROFILE_POINTS} points")
-
-
 def profile_table(m: int, a: int, b: int, grid_size: int = 1000) -> ProfileTable:
     """Tabulate the limit profile and its slope on grid_size + 1 points.
 
     A grid_size above MAX_PROFILE_POINTS raises ResourceLimitError before
-    any point is evaluated.
+    any point is evaluated, once the shape and grid_size are valid.
     """
-    _check_grid_size(grid_size)
+    require_int("grid_size", grid_size, 2)
+    _shape(m, a, b)
+    require_at_most("grid_size", grid_size, MAX_PROFILE_POINTS)
     import numpy as np
 
     grid = np.linspace(0.0, 1.0, grid_size + 1)
@@ -262,7 +257,8 @@ def variational_profile(problem: VariationalProblem,
     supplied tabulation.  A grid_size above MAX_PROFILE_POINTS raises
     ResourceLimitError before any array is allocated.
     """
-    _check_grid_size(grid_size)
+    require_int("grid_size", grid_size, 2)
+    require_at_most("grid_size", grid_size, MAX_PROFILE_POINTS)
     import numpy as np
 
     w = problem.weights ** (1.0 / (problem.exponent + 1.0))

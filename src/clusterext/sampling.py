@@ -6,9 +6,10 @@ lazy (aperiodic), irreducible on the set of linear extensions, and symmetric,
 so its stationary distribution is uniform.  Mixing is governed by the known
 cubic bound for this chain, hence the default burn-in of |P|^3 ln |P| steps
 and thinning of |P|^2 steps between recorded samples.  Each sampling
-function refuses a request over ``MAX_CHAIN_STEPS`` steps or
-``MAX_CHAIN_ELEMENTS`` elements with :class:`ResourceLimitError` before any
-chain is built.
+function first validates every argument, the seed included, with
+:class:`InvalidInputError`, and only then refuses a request over
+``MAX_CHAIN_STEPS`` steps or ``MAX_CHAIN_ELEMENTS`` elements with
+:class:`ResourceLimitError`; both happen before any chain is built.
 
 Each step takes one integer from a PCG64 stream, drawn in chunks of at most
 2^15 per :meth:`ExtensionChain.run` call; its low bit is the lazy coin.  The
@@ -28,7 +29,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from .errors import ResourceLimitError, require_int
+from .errors import require_at_most, require_int
 from .posets import ClusterParams, FinitePoset, cluster_poset, glue_labels
 from .profiles import limit_profile
 
@@ -58,20 +59,8 @@ def default_thinning(size: int) -> int:
     return max(1, size * size)
 
 
-def _check_size(size: int) -> None:
-    if size > MAX_CHAIN_ELEMENTS:
-        raise ResourceLimitError(
-            f"sampling supports posets of at most {MAX_CHAIN_ELEMENTS} elements")
-
-
-def _check_steps(steps: int, what: str) -> None:
-    if steps > MAX_CHAIN_STEPS:
-        raise ResourceLimitError(
-            f"{what} exceeds the cap of {MAX_CHAIN_STEPS} chain steps")
-
-
 def _budget(size: int, samples: int, burnin: Optional[int],
-            thinning: Optional[int]) -> Tuple[int, int]:
+            thinning: Optional[int], seed: int) -> Tuple[int, int]:
     """Validate a sampling request, fill in the default (burnin, thinning)
     and refuse it, before any chain is built, if it is over the caps."""
     require_int("samples", samples, 1)
@@ -79,12 +68,13 @@ def _budget(size: int, samples: int, burnin: Optional[int],
         require_int("burnin", burnin, 0)
     if thinning is not None:
         require_int("thinning", thinning, 1)
-    _check_size(size)
+    require_int("seed", seed, 0)
+    require_at_most("sampled poset size", size, MAX_CHAIN_ELEMENTS)
     if burnin is None:
         burnin = default_burnin(size)
     if thinning is None:
         thinning = default_thinning(size)
-    _check_steps(burnin + samples * thinning, "burn-in + samples * thinning")
+    require_at_most("chain steps", burnin + samples * thinning, MAX_CHAIN_STEPS)
     return burnin, thinning
 
 
@@ -148,8 +138,9 @@ def sample_linear_extension(poset: FinitePoset, steps: int,
     Returns element indices in order; deterministic given (poset, steps, seed).
     """
     require_int("steps", steps, 0)
-    _check_steps(steps, "steps")
-    _check_size(len(poset))
+    require_int("seed", seed, 0)
+    require_at_most("chain steps", steps, MAX_CHAIN_STEPS)
+    require_at_most("sampled poset size", len(poset), MAX_CHAIN_ELEMENTS)
     chain = ExtensionChain(poset, seed)
     chain.run(steps)
     return chain.state()
@@ -158,7 +149,7 @@ def sample_linear_extension(poset: FinitePoset, steps: int,
 def sample_distribution(poset: FinitePoset, num_samples: int, thinning: int,
                         burnin: int, seed: int) -> Dict[Tuple[int, ...], int]:
     """Empirical distribution over extensions from one thinned chain."""
-    _budget(len(poset), num_samples, burnin, thinning)
+    _budget(len(poset), num_samples, burnin, thinning, seed)
     chain = ExtensionChain(poset, seed)
     chain.run(burnin)
     counts: Dict[Tuple[int, ...], int] = {}
@@ -195,7 +186,7 @@ def height_profile(params: ClusterParams, samples: int,
     import numpy as np
 
     size = params.p_size
-    burnin, thinning = _budget(size, samples, burnin, thinning)
+    burnin, thinning = _budget(size, samples, burnin, thinning, seed)
     poset = cluster_poset(params)
     glue = [poset.index(lab) for lab in glue_labels(params)]
 

@@ -27,7 +27,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from clusterext import sampling
-from clusterext.errors import InvalidInputError, ResourceLimitError
+from clusterext.errors import InvalidInputError, require_at_most
 from clusterext.patterns import MAX_TEXT_LENGTH, Pattern
 from clusterext.posets import FinitePoset
 
@@ -121,8 +121,7 @@ def _window_pattern(window: Sequence[int]) -> Pattern:
 @lru_cache(maxsize=None)
 def _histograms_for_length(m: int, n: int) -> Dict[Pattern, Dict[int, int]]:
     """Occurrence histograms of every length-m pattern over S_n, in one sweep."""
-    if n > MAX_TEXT_LENGTH:
-        raise ResourceLimitError(f"text enumeration supported for n <= {MAX_TEXT_LENGTH}")
+    require_at_most("text length", n, MAX_TEXT_LENGTH)
     hist: Dict[Pattern, Dict[int, int]] = {
         p: {} for p in _permutations(range(1, m + 1))
     }

@@ -522,6 +522,23 @@ def test_resource_errors_exit_3(monkeypatch):
     assert status == 3 and out == ""
 
 
+def test_bad_arguments_exit_2_before_the_caps(capsys):
+    # each request is over a cap too: the seed, the shape (a > b) and --n-max
+    # are refused first
+    for argv in (("sample", "--m", "8", "--a", "3", "--b", "5", "--n", "1000",
+                  "--seed", "-1"),
+                 ("profile", "--m", "3", "--a", "2", "--b", "1",
+                  "--points", "1000000")):
+        assert run_cli(*argv) == (2, ""), argv
+    for argv in (("fit", "--m", "3", "--a", "1", "--b", "2"),
+                 ("compare", "--m", "6", "--a", "1", "--b", "3", "--a2", "2",
+                  "--b2", "4")):
+        capsys.readouterr()
+        assert run_cli(*argv, "--n-max", "0") == (2, ""), argv
+        assert capsys.readouterr().err == (
+            "error: n_max must be an integer >= 1, got 0\n"), argv
+
+
 def test_over_cap_brute_count_exits_3_before_building(monkeypatch):
     def fail(*args):
         raise AssertionError("a poset was built")

@@ -1,13 +1,20 @@
 """Every public integer argument follows one rule: an int, not a bool, at or
-above its lower bound, or InvalidInputError before any work is done."""
+above its lower bound, or InvalidInputError before any work is done.  Every
+resource cap follows one more: over the cap is ResourceLimitError with one
+message form, checked only after every argument, and before any work."""
 
+import importlib
 import inspect
+import pkgutil
+import re
+import time
 
 import pytest
 
 import clusterext
 from clusterext import asymptotics, cli, patterns, profiles, sampling
-from clusterext.errors import InvalidInputError, require_int
+from clusterext.errors import (InvalidInputError, ResourceLimitError,
+                               require_at_most, require_int)
 from clusterext.exact_counts import exact_count_sweep
 from clusterext.posets import ClusterParams, FinitePoset
 
@@ -118,3 +125,89 @@ def test_require_int():
     for bad in (2, 3.0, True, "3", None):
         with pytest.raises(InvalidInputError, match=r"^k must be an integer >= 3, got "):
             require_int("k", bad, 3)
+
+
+def test_n_max_errors_name_n_max():
+    with pytest.raises(InvalidInputError, match=r"^n_max must be an integer >= 1, got 0$"):
+        exact_count_sweep(3, 1, 2, 0)
+
+
+def _handler(*argv):
+    """Run one CLI subcommand's handler, so its exceptions reach the caller."""
+    args = cli.build_parser().parse_args(argv)
+    return cli._COMMANDS[args.command][2](args)
+
+
+# (cap, quantity in the message, one unit over the cap, call with one other
+# argument, a valid and an invalid value of that argument); None where the
+# call takes no other argument.  With its cap lifted, each call's work takes
+# 0.65 s (classify) to minutes on one core of a 2-vCPU Xeon VM, so a refusal
+# within REFUSAL_SECONDS started none of it.  The one exception is the
+# brute-force count, about 0.05 s just past its cap; test_cli checks that
+# its refusal builds no poset.
+BUDGETS = [
+    ("posets.MAX_BRUTEFORCE_ELEMENTS", "brute-force poset size", 25,
+     lambda a: _handler("count", "--m", "3", "--a", a, "--b", "2", "--n", "12",
+                        "--method", "brute"), "1", "0"),
+    ("exact_counts.MAX_INTEGRAL_DEGREE", "iterated integral degree", 6001,
+     lambda v: exact_count_sweep(18, 9, 10, 353, v), "p", "x"),
+    ("patterns.MAX_TEXT_LENGTH", "text length", 11,
+     lambda p: patterns.occurrence_histogram(p, 11), (1, 2), (1, 1)),
+    ("patterns.MAX_CENSUS_LENGTH", "census pattern length", 12,
+     lambda _: patterns.nonoverlapping_fraction(12), None, None),
+    ("patterns.MAX_CLASSIFY_LENGTH", "classified pattern length", 8,
+     lambda n_max: patterns.evidence_classes(8, n_max), 10, 0),
+    ("profiles.MAX_PROFILE_POINTS", "grid_size", 100001,
+     lambda a: profiles.profile_table(3, a, 2, 100001), 1, 2),
+    ("sampling.MAX_CHAIN_STEPS", "chain steps", 10 ** 9 + 1,
+     lambda seed: sampling.sample_linear_extension(ANTICHAIN, 10 ** 9 + 1, seed), 0, -1),
+    ("sampling.MAX_CHAIN_ELEMENTS", "sampled poset size", 4097,
+     lambda seed: sampling.height_profile(ClusterParams(2, 1, 2, 4096), 1, burnin=0,
+                                          thinning=1, seed=seed), 0, -1),
+]
+
+REFUSAL_SECONDS = 0.25
+
+
+def _cap(name):
+    module, constant = name.split(".")
+    return getattr(importlib.import_module(f"clusterext.{module}"), constant)
+
+
+@pytest.mark.parametrize("cap, quantity, over, call, valid, invalid",
+                         BUDGETS, ids=[row[0] for row in BUDGETS])
+def test_caps_are_checked_after_arguments_and_before_work(
+        cap, quantity, over, call, valid, invalid):
+    limit = _cap(cap)
+    assert over == limit + 1
+    message = f"{quantity} {over} exceeds the cap of {limit}"
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match=f"^{re.escape(message)}$"):
+        call(valid)
+    assert time.perf_counter() - start < REFUSAL_SECONDS
+    if invalid is not None:
+        with pytest.raises(InvalidInputError):
+            call(invalid)
+
+
+def _caps():
+    """Names, as in BUDGETS, of the module-level MAX_* constants of clusterext."""
+    for info in pkgutil.iter_modules(clusterext.__path__):
+        if info.name.startswith("_"):  # __main__ runs the CLI on import
+            continue
+        module = importlib.import_module(f"clusterext.{info.name}")
+        yield from (f"{info.name}.{name}" for name in vars(module)
+                    if name.startswith("MAX_"))
+
+
+def test_every_cap_has_a_row():
+    scanned = set(_caps())
+    assert {"posets.MAX_BRUTEFORCE_ELEMENTS", "sampling.MAX_CHAIN_STEPS"} <= scanned
+    assert sorted(scanned - {row[0] for row in BUDGETS}) == []
+
+
+def test_require_at_most():
+    require_at_most("k", 3, 3)
+    require_at_most("k", -2, -1)
+    with pytest.raises(ResourceLimitError, match=r"^k 4 exceeds the cap of 3$"):
+        require_at_most("k", 4, 3)

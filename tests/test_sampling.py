@@ -118,6 +118,10 @@ def test_over_budget_requests_are_refused_before_sampling(monkeypatch):
         height_profile(ClusterParams(9, 1, 2, 10 ** 30), samples=1, burnin=-1)
     with pytest.raises(InvalidInputError, match="^steps "):
         sample_linear_extension(antichain(sampling.MAX_CHAIN_ELEMENTS + 1), -1, seed=0)
+    with pytest.raises(InvalidInputError, match="^seed "):
+        sample_linear_extension(antichain(3), 10 ** 10, seed=1.5)
+    with pytest.raises(InvalidInputError, match="^seed "):
+        height_profile(ClusterParams(8, 3, 5, 1000), samples=200, seed=-1)
     # non-int counts, bool included, are refused before the default budget runs
     for bad in ({"samples": 2.5}, {"samples": True}, {"samples": 1, "burnin": 10.0},
                 {"samples": 1, "thinning": 3.0}, {"samples": 1, "burnin": False},
