@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import math
 import sys
 from typing import List, NamedTuple, Optional, Sequence, Tuple
@@ -56,6 +55,8 @@ class _Result(NamedTuple):
 
 def _emit(fmt: str, result: _Result, out) -> None:
     if fmt == "json":
+        import json
+
         out.write(json.dumps(result.document) + "\n")
         return
     if fmt == "table" and result.text is not None:
@@ -107,12 +108,8 @@ def _write_svg(path: str, curve: List[Tuple[float, float]],
         raise InvalidInputError(f"cannot write --svg file: {exc}") from exc
 
 
-def _cluster_params(args) -> posets.ClusterParams:
-    return posets.ClusterParams(args.m, args.a, args.b, args.n)
-
-
 def _cmd_count(args) -> _Result:
-    params = _cluster_params(args)
+    params = posets.ClusterParams(args.m, args.a, args.b, args.n)
     if args.method == "brute":
         size = params.p_size if args.variant == "p" else params.q_size
         # refuse before building the poset
@@ -129,9 +126,8 @@ def _cmd_count(args) -> _Result:
 
 def _cmd_constant(args) -> _Result:
     const = asymptotics.growth_constant(args.m, args.a, args.b)
-    header = ("m", "a", "b", "leading", "c")
-    row = (args.m, args.a, args.b, const.leading, const.value)
-    return _Result(dict(zip(header, row)), header, [row],
+    header = ("m", "a", "b", "leading", "c")  # the fields of const
+    return _Result(dict(zip(header, const)), header, [const],
                    text=f"leading={const.leading} c={_fmt(const.value)}\n")
 
 
@@ -178,7 +174,7 @@ def _cmd_profile(args) -> _Result:
 
 
 def _cmd_sample(args) -> _Result:
-    params = _cluster_params(args)
+    params = posets.ClusterParams(args.m, args.a, args.b, args.n)
     profile = sampling.height_profile(params, args.samples,
                                       burnin=args.burnin,
                                       thinning=args.thinning, seed=args.seed)

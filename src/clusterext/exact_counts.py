@@ -140,7 +140,7 @@ def exact_count(params: ClusterParams, variant: str = "p") -> int:
     The factorial-scaled iterated integral is divided by its weight
     normalizers; a non-integer result raises InternalConsistencyError.
     """
-    m, a, b, n = params.m, params.a, params.b, params.n
+    m, a, b, n = params
     _checked_degree(m, a, b, n, variant)
     return _finalize_count(*next(islice(_integrands(m, a, b, variant), n - 1, None)))
 
@@ -171,7 +171,7 @@ def iterated_integral(params: ClusterParams, variant: str = "p") -> Fraction:
     from fractions import Fraction
 
     count = exact_count(params, variant)  # refuses a bad variant or degree first
-    m, a, b, n = params.m, params.a, params.b, params.n
+    m, a, b, n = params
     padded = variant == "q"
     normalizers = (math.factorial(b - a - 1) ** n
                    * (math.factorial(a - 1) * math.factorial(m - b)) ** (n + padded))

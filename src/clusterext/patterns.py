@@ -51,11 +51,10 @@ never proofs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations as _permutations
 from operator import itemgetter
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from .errors import InvalidInputError, require_at_most, require_int
 
@@ -175,8 +174,7 @@ def nonoverlapping_fraction(m: int) -> float:
     return count / math.factorial(m)
 
 
-@dataclass(frozen=True)
-class OccurrenceHistogram:
+class OccurrenceHistogram(NamedTuple):
     """Distribution of consecutive-occurrence counts of one pattern over S_n.
 
     ``counts[k]`` is the number of permutations in S_n with exactly k

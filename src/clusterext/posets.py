@@ -13,7 +13,7 @@ nothing from the package but its exceptions.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from typing import Dict, Iterable, List, Sequence, Tuple
 
@@ -24,21 +24,21 @@ from .errors import (DomainError, InternalConsistencyError, InvalidInputError,
 MAX_BRUTEFORCE_ELEMENTS = 24
 
 
-@dataclass(frozen=True)
-class ClusterParams:
+class ClusterParams(namedtuple("ClusterParams", "m a b n")):
     """Parameters (m, a, b, n) of a glued-chain poset, with 1 <= a < b <= m, n >= 1."""
 
-    m: int
-    a: int
-    b: int
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name in ("m", "a", "b", "n"):
-            require_int(name, getattr(self, name), 1)
-        if not self.a < self.b <= self.m:
-            raise InvalidInputError(
-                f"need 1 <= a < b <= m, got a={self.a}, b={self.b}, m={self.m}")
+    def __new__(cls, m: int, a: int, b: int, n: int) -> ClusterParams:
+        for name, value in zip(cls._fields, (m, a, b, n)):
+            require_int(name, value, 1)
+        if not a < b <= m:
+            raise InvalidInputError(f"need 1 <= a < b <= m, got a={a}, b={b}, m={m}")
+        return super().__new__(cls, m, a, b, n)
+
+    @classmethod
+    def _make(cls, iterable: Iterable[int]) -> ClusterParams:
+        return cls(*iterable)  # so that _replace validates too
 
     @property
     def d(self) -> int:
@@ -169,7 +169,7 @@ def _glued_chains(params: ClusterParams, padded: bool) -> FinitePoset:
     a-th of chain 1) and chain n+1 (positions 1..a, its a-th element the b-th
     of chain n).  Elements are numbered in the order the chains are listed.
     """
-    m, a, b, n = params.m, params.a, params.b, params.n
+    m, a, b, n = params
     labels: List[str] = []
     covers: List[Tuple[int, int]] = []
 

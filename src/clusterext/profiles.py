@@ -21,8 +21,8 @@ integral of h^(1/(beta+1)).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence, Tuple
+from collections import namedtuple
+from typing import TYPE_CHECKING, NamedTuple, Sequence, Tuple
 
 from .asymptotics import log_beta
 from .errors import (DegenerateParameterError, DomainError,
@@ -83,7 +83,8 @@ def _beta_cf(alpha: float, beta: float, x: float) -> float:
 
 
 def regularized_incomplete_beta(alpha: float, beta: float, x: float) -> float:
-    """I_x(alpha, beta), accurate to about 1e-13 absolute for moderate shapes."""
+    """I_x(alpha, beta): about 1e-13 absolute for alpha + beta <= 300, 1e-12 at 1000,
+    worse above; no convergence near the mean from alpha = beta ~ 1.5e6 (README)."""
     if not (0.0 < alpha < math.inf and 0.0 < beta < math.inf):
         raise DomainError("shape parameters must be finite and strictly positive")
     if not 0.0 <= x <= 1.0:
@@ -185,8 +186,7 @@ def slope_argmin(m: int, a: int, b: int) -> float:
     return weight_cdf(m, a, b, _density_peak(m, a, b))
 
 
-@dataclass(frozen=True)
-class ProfileTable:
+class ProfileTable(NamedTuple):
     """Sampled limit profile: values and slopes on an equally spaced grid.
 
     ``slope_minimum`` is the analytic argmin location (0.0 in the degenerate
@@ -221,29 +221,31 @@ def profile_table(m: int, a: int, b: int, grid_size: int = 1000) -> ProfileTable
                         weight_cdf(m, a, b, _density_peak(m, a, b)))
 
 
-@dataclass(frozen=True)
-class VariationalProblem:
+class VariationalProblem(namedtuple("VariationalProblem", "weights exponent")):
     """A positive weight h tabulated on a uniform grid over [0,1], and beta >= 0.
 
     The tabulation must have at least MIN_TABLE_POINTS points; h may vanish
     at the two endpoints but must be positive at interior grid points.
     """
 
-    weights: np.ndarray
-    exponent: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, weights: Sequence[float], exponent: float) -> VariationalProblem:
         import numpy as np
 
-        w = np.asarray(self.weights, dtype=float)
-        object.__setattr__(self, "weights", w)
+        w = np.asarray(weights, dtype=float)
         if w.ndim != 1 or len(w) < MIN_TABLE_POINTS:
             raise InvalidInputError(
                 f"weight tabulation needs >= {MIN_TABLE_POINTS} points")
         if not (np.all(np.isfinite(w)) and np.all(w >= 0) and np.all(w[1:-1] > 0)):
             raise DomainError("weight must be finite, and positive on (0, 1)")
-        if not self.exponent >= 0:
+        if not exponent >= 0:
             raise DomainError("exponent must be >= 0")
+        return super().__new__(cls, w, exponent)
+
+    @classmethod
+    def _make(cls, iterable: Sequence) -> VariationalProblem:
+        return cls(*iterable)  # so that _replace validates too
 
 
 def variational_profile(problem: VariationalProblem,

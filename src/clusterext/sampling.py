@@ -26,8 +26,7 @@ fractions concentrate around the limit profile of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Tuple
 
 from .errors import require_at_most, require_int
 from .posets import ClusterParams, FinitePoset, cluster_poset, glue_labels
@@ -160,8 +159,7 @@ def sample_distribution(poset: FinitePoset, num_samples: int, thinning: int,
     return counts
 
 
-@dataclass(frozen=True)
-class HeightProfile:
+class HeightProfile(NamedTuple):
     """Mean normalized heights of the glue elements, with the limit reference.
 
     mean_heights[i] is the sample mean over the recorded draws of the
@@ -198,16 +196,14 @@ def height_profile(params: ClusterParams, samples: int,
         position = chain.position
         totals += [position[x] for x in glue]
     mean_heights = totals / (samples * (size - 1))
-    n = params.n
-    reference = np.array([limit_profile(params.m, params.a, params.b,
-                                        (i + 1) / (n + 2))
+    m, a, b, n = params
+    reference = np.array([limit_profile(m, a, b, (i + 1) / (n + 2))
                           for i in range(n + 1)])
     return HeightProfile(params, mean_heights, reference,
                          samples, burnin, thinning, seed)
 
 
-@dataclass(frozen=True)
-class ConcentrationReport:
+class ConcentrationReport(NamedTuple):
     """Per-element deviations of the sampled heights from the limit profile."""
 
     params: ClusterParams

@@ -5,7 +5,8 @@ import pytest
 from scipy.special import polygamma
 
 from clusterext import asymptotics
-from clusterext.errors import DomainError, InvalidInputError
+from clusterext.errors import (DomainError, InternalConsistencyError,
+                               InvalidInputError)
 from clusterext.exact_counts import exact_count, exact_count_sweep
 from clusterext.posets import ClusterParams
 
@@ -156,11 +157,15 @@ def test_constant_unimodal_in_glue_position():
 
 
 def test_constant_gap_examples():
-    gap = asymptotics.constant_gap(6, 1, 3, 2, 4)
-    assert gap > 1e-9
+    gap = asymptotics.constant_gap(6, 1, 3, 2, 4)  # rounding bound 1e-13
+    assert gap == pytest.approx(math.log(4 / 3), rel=1e-12)
     assert gap == pytest.approx(
         asymptotics.growth_constant(6, 2, 4).value
         - asymptotics.growth_constant(6, 1, 3).value)
+    # the true gap is 2.000004e-12 (60-digit mpmath), but the constants are
+    # sums of terms near 1e7 that cancel; the float difference reads 1.86e-9
+    with pytest.raises(InternalConsistencyError, match="not certifiably positive"):
+        asymptotics.constant_gap(10 ** 6 + 1, 499999, 500001, 500000, 500002)
     with pytest.raises(InvalidInputError):
         asymptotics.constant_gap(8, 3, 5, 3, 5)  # sums not strictly ordered
     with pytest.raises(InvalidInputError):

@@ -392,6 +392,28 @@ def test_integer_commands_do_not_import_numpy():
         assert out == run_cli(*argv)[1], argv
 
 
+# json is imported only after the import check, by the request itself
+IMPORT_PROBE = """
+import io, sys
+from clusterext import cli
+
+unneeded = ("dataclasses", "inspect", "json", "numpy", "fractions", "decimal")
+print(*[name for name in unneeded if name in sys.modules])
+cli.run(["constant", "--m", "8", "--a", "3", "--b", "5"], out=io.StringIO())
+print("json" in sys.modules)
+cli.run(["constant", "--m", "8", "--a", "3", "--b", "5", "--format", "json"],
+        out=io.StringIO())
+print("json" in sys.modules)
+"""
+
+
+def test_cli_import_loads_nothing_it_does_not_need():
+    done = subprocess.run([sys.executable, "-c", IMPORT_PROBE],
+                          capture_output=True, text=True, env=_checkout_env(),
+                          timeout=120, check=True)
+    assert done.stdout.splitlines() == ["", "False", "True"]
+
+
 def test_usage_errors_exit_2():
     assert run_cli("count", "--m", "3", "--a", "5", "--b", "2", "--n", "1")[0] == 2
     assert run_cli("count", "--m", "3")[0] == 2

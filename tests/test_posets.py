@@ -1,7 +1,9 @@
 import ast
+import copy
 import gc
 import hashlib
 import math
+import pickle
 from pathlib import Path
 
 import pytest
@@ -34,6 +36,23 @@ def test_params_validation():
         ClusterParams(3, 1, 4, 1)
     with pytest.raises(InvalidInputError):
         ClusterParams(3, 1, 2, 0)
+    # the tuple API validates too
+    with pytest.raises(InvalidInputError, match="need 1 <= a < b <= m"):
+        ClusterParams(3, 1, 2, 2)._replace(a=5)
+    with pytest.raises(InvalidInputError, match="m must be an integer >= 1"):
+        ClusterParams._make((0, 1, 2, 1))
+    params = ClusterParams(3, 1, 2, 2)
+    assert ClusterParams._make((3, 1, 2, 2)) == params
+    for twin in (pickle.loads(pickle.dumps(params)), copy.copy(params),
+                 copy.deepcopy(params)):
+        assert type(twin) is ClusterParams and twin == params
+    with pytest.raises(AttributeError):
+        params.a = 2
+    with pytest.raises(AttributeError):
+        params.extra = 2
+    assert hash(params) == hash((3, 1, 2, 2))
+    assert repr(params) == "ClusterParams(m=3, a=1, b=2, n=2)"
+    assert params == (3, 1, 2, 2) and tuple(params) == (3, 1, 2, 2)
 
 
 @pytest.mark.parametrize("fields", [(3, 1, 2, True), (True, False, True, 1),

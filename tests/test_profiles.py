@@ -267,6 +267,10 @@ def test_variational_validation():
         VariationalProblem(bad, 1.0)
     with pytest.raises(DomainError):
         VariationalProblem(np.ones(1001), -0.5)
+    with pytest.raises(DomainError, match="exponent must be >= 0"):
+        VariationalProblem([1.0] * 1001, 1.0)._replace(exponent=-1.0)
+    with pytest.raises(InvalidInputError):
+        VariationalProblem._make((np.ones(100), 1.0))
     for value in (math.nan, math.inf):
         for index in (0, 500):
             bad = np.ones(1001)
