@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from typing import TYPE_CHECKING, NamedTuple, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence, Tuple
 
 from .asymptotics import log_beta
 from .errors import (DegenerateParameterError, DomainError,
@@ -244,7 +244,7 @@ class VariationalProblem(namedtuple("VariationalProblem", "weights exponent")):
         return super().__new__(cls, w, exponent)
 
     @classmethod
-    def _make(cls, iterable: Sequence) -> VariationalProblem:
+    def _make(cls, iterable: Iterable) -> VariationalProblem:
         return cls(*iterable)  # so that _replace validates too
 
 
