@@ -339,46 +339,58 @@ _COMMANDS = {
 }
 
 
-def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
-    """The argument parser, with every subcommand or only ``command``'s.
+def _command_parser(name: str, parser=None) -> argparse.ArgumentParser:
+    """Subcommand ``name``'s arguments, and ``--format`` if it has a handler, on
+    ``parser``: by default a new one with the full parser's prog for ``name``."""
+    if parser is None:
+        parser = argparse.ArgumentParser(prog=f"clusterext {name}")
+    _, add_arguments, handler = _COMMANDS[name]
+    if handler is not None:
+        add_arguments(parser)
+        parser.add_argument("--format", choices=("table", "csv", "json"),
+                            default="table", help="output format (default: table)")
+    return parser
 
-    A parser for one known ``command`` parses that command's argv to the
-    same namespace, and prints the same usage and errors, as the full one;
-    it skips building the other subcommands' arguments.
-    """
+
+def build_parser() -> argparse.ArgumentParser:
+    """The full argument parser, with every subcommand."""
     parser = argparse.ArgumentParser(
         prog="clusterext",
         description="Exact and asymptotic linear-extension counts for "
                     "glued-chain posets, limit profiles, MCMC height "
                     "experiments, and consecutive-pattern equivalence evidence.")
-    # one command's parser takes the full parser's metavar, so usage lines and
-    # errors match; the full parser keeps "command" for its missing-command error
-    metavar = {} if command is None else {"metavar": "{" + ",".join(_COMMANDS) + "}"}
-    sub = parser.add_subparsers(dest="command", required=True, **metavar)
-    for name in _COMMANDS if command is None else (command,):
-        help_line, add_arguments, handler = _COMMANDS[name]
-        p = sub.add_parser(name, help=help_line)
-        if handler is not None:
-            add_arguments(p)
-            p.add_argument("--format", choices=("table", "csv", "json"),
-                           default="table", help="output format (default: table)")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, _, _) in _COMMANDS.items():
+        _command_parser(name, sub.add_parser(name, help=help_line))
     return parser
 
 
 def run(argv: Optional[Sequence[str]] = None, out=None) -> int:
+    """Run the command line ``argv`` (default ``sys.argv[1:]``); return its exit code.
+
+    A known subcommand's arguments go to its ``_command_parser`` alone; any
+    other argv, or one with arguments left over, goes to the full
+    ``build_parser()``, which prints its own usage error.  Output and
+    ``--help`` go to ``out`` (default stdout), errors to stderr.  Exit codes:
+    0 success, 2 usage error, 3 resource limit, 4 internal consistency failure.
+    """
     out = out if out is not None else sys.stdout
     argv = list(sys.argv[1:] if argv is None else argv)
     command = argv[0] if argv and argv[0] in _COMMANDS else None
     try:
         with contextlib.redirect_stdout(out):  # --help goes to out
-            args = build_parser(command).parse_args(argv)
+            if command is not None:
+                args, extra = _command_parser(command).parse_known_args(argv[1:])
+            if command is None or extra:
+                args = build_parser().parse_args(argv)
+                command = args.command
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     # counts are bounded by MAX_INTEGRAL_DEGREE, not by the str() digit limit
     max_digits = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        handler = _COMMANDS[args.command][2]
+        handler = _COMMANDS[command][2]
         if handler is None:
             return _cmd_check(out)
         _emit(args.format, handler(args), out)

@@ -37,12 +37,12 @@ rows.  At n_max = m there is no walk: each pattern of S_m occurs in one
 text of S_m, itself.
 
 The cost is about (n_max - 2)!/2 calls with m group steps and about m^2/2
-leaf steps each, plus O(m) per node of lower depth, a few list steps per
+leaf products each, plus O(m) per node of lower depth, a few list steps per
 pattern of S_m for the tables and orbits, and one list step per slot,
 about (m!/4)(n_max - m + 2), per level; there is no per-text factor of m!.
 ``classify --m 7 --n-max 10``, the largest request the caps allow, takes
-0.4-0.5 s on one core of a 2-vCPU Xeon VM, and ``_sweep(7, 10)`` 0.25-0.3 s
-of it.
+about 0.48 s on one core of a 2-vCPU Xeon VM, and ``_sweep(7, 10)``
+0.22-0.32 s of it.
 
 Equivalence results obtained here are evidence up to a stated text length,
 never proofs.
@@ -66,9 +66,9 @@ MAX_TEXT_LENGTH = 10
 MAX_CENSUS_LENGTH = 11
 #: Largest pattern length for whole-S_m classification, and for any sweep
 #: that reaches a text of length m: its tables have m! entries and each
-#: level m!/4 orbit rows.  At m = 8 the tables take about 6 ms,
-#: ``evidence_classes(8, 8)`` about 26 ms and ``_sweep(8, 10)`` 0.44-0.72 s
-#: at 25 MiB peak RSS on one core of a 2-vCPU Xeon VM.
+#: level m!/4 orbit rows.  At m = 8 the tables take 6-13 ms,
+#: ``evidence_classes(8, 8)`` 26-55 ms and ``_sweep(8, 10)`` 0.46-0.53 s
+#: at 24 MiB peak RSS on one core of a 2-vCPU Xeon VM.
 MAX_CLASSIFY_LENGTH = 7
 
 
@@ -236,9 +236,9 @@ def _sweep(m: int, n_max: int) -> Tuple[List[int], Tuple[List[List[int]], ...]]:
 
     ``visit`` calls itself down to depth n_max - 2, about (n_max - 2)!/2
     calls, and each of those tallies its m groups of children and, in each
-    group, the leaf gaps of the windows whose orbit takes their tallies,
-    about m^2/2 list steps.  ``_sweep(7, 10)`` takes 0.25-0.3 s on one core
-    of a 2-vCPU Xeon VM.
+    group, the summed leaf gap of each window whose orbit takes its tallies,
+    one product each, about m^2/2 a call.  ``_sweep(7, 10)`` takes
+    0.22-0.32 s on one core of a 2-vCPU Xeon VM.
     """
     if m == 1:  # every entry is an occurrence of the one pattern
         return [0], tuple([[math.factorial(n)] * n] for n in range(1, n_max + 1))
@@ -292,17 +292,17 @@ def _sweep(m: int, n_max: int) -> Tuple[List[int], Tuple[List[List[int]], ...]]:
                 tally[i] += g
                 nxt[w] = i + 1
             if last:
-                # r runs over (lo, hi], inside gap k of rcuts; summed over
-                # r, the leaf gap below r is g*(lo - rcuts[k]) + g(g+1)/2
-                # and the two gaps around r make g*(gaps[k] + 1)
+                # r runs over (lo, hi], inside gap k of rcuts; summed over r,
+                # leaf gap t is g*gaps[t] below k and g*gaps[t-1] above k+1,
+                # gap k (below r) is below, and gaps k and k+1 g*(gaps[k]+1)
                 k = j - (low <= j)
                 below = g * (lo - rcuts[k]) + g * (g + 1) // 2
-                sums = [g * x for x in gaps]
-                sums[k:k + 1] = below, g * (gaps[k] + 1) - below
                 u = suffix[w]  # the tail pattern of the leaves' windows
                 y = u * m
                 for t in taken[u]:
-                    leaves[nxt[y + t]] += sums[t]
+                    leaves[nxt[y + t]] += (g * gaps[t] if t < k else below if t == k
+                                           else g * (gaps[k] + 1) - below if t == k + 1
+                                           else g * gaps[t - 1])
             else:
                 # the ranks r in (lo, hi] sit above exactly j tail entries
                 for r in range(lo + 1, hi + 1):

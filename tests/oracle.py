@@ -3,6 +3,9 @@
 * ``RationalPoly`` and ``step_integral``: the plain rational-polynomial form
   of the integration that :mod:`clusterext.exact_counts` does in the integer
   x^k/k! basis.
+* ``glue_rank_counts``: the same counts from a forward pass over the rank
+  of the current glue element, with binomials only; no integral and no
+  code of :mod:`clusterext.exact_counts`.
 * ``_histograms_for_length``: the per-length brute-force S_n sweep that
   :mod:`clusterext.patterns` replaced by one incremental depth-first sweep;
   it ranks every window of every text from scratch and tallies all m!
@@ -111,6 +114,34 @@ def step_integral(g: RationalPoly, kernel_exponent: int) -> RationalPoly:
             out[k + e + 1] = c * Fraction(math.factorial(k) * fe,
                                           math.factorial(k + e + 1))
     return RationalPoly(out)
+
+
+def glue_rank_counts(m: int, a: int, b: int, n: int, variant: str) -> int:
+    """Linear extensions of the plain (``"p"``) or padded (``"q"``) glued-chain poset.
+
+    V[r] counts the linear extensions of the elements placed so far in which
+    the current glue element g has rank r among the N placed.  Each chain
+    puts a - 1 new elements below g and m - a above it, the (b - a)-th of
+    those the next glue; only g constrains them, so they interleave with the
+    r - 1 old elements below g and the A = N - r above it binomially.  With
+    the next glue at place p among all elements above g, its rank is
+    r + a - 1 + p.  The plain poset starts from g = A(1, a) alone; the
+    padded one adds chain 0's m - b elements above it and, at the end,
+    chain n+1's a - 1 elements below the last glue.
+    """
+    padded = variant == "q"
+    V, N = {1: 1}, 1 + (m - b if padded else 0)
+    for _ in range(n):
+        W: Dict[int, int] = {}
+        for r, v in V.items():
+            A, v = N - r, v * math.comb(r + a - 2, a - 1)
+            for p in range(b - a, A + b - a + 1):
+                ways = v * math.comb(p - 1, b - a - 1) * math.comb(A - p + m - a, m - b)
+                W[r + a - 1 + p] = W.get(r + a - 1 + p, 0) + ways
+        V, N = W, N + m - 1
+    if padded:
+        return sum(v * math.comb(r + a - 2, a - 1) for r, v in V.items())
+    return sum(V.values())
 
 
 def _window_pattern(window: Sequence[int]) -> Pattern:

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -433,12 +434,12 @@ def test_help_goes_to_out(capsys):
     assert capsys.readouterr() == ("", "")
 
 
-def _parse(command, argv):
-    """What a parser makes of argv: the namespace, or the exit and its output."""
+def _parse(argv):
+    """What the full parser makes of argv: the namespace, or the exit and its output."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            return cli.build_parser(command).parse_args(argv)
+            return cli.build_parser().parse_args(argv)
         except SystemExit as exc:
             return exc.code, out.getvalue(), err.getvalue()
 
@@ -452,23 +453,29 @@ PARITY_ARGV = (
        ["count", "--m", "3", "--a", "1", "--b", "2"],
        ["fit", "--m", "3", "--a", "1", "--b", "x"],
        ["count", "--m", "3", "--a", "1", "--b", "2", "--n", "1",
-        "--method", "bogus"]])
+        "--method", "bogus"]]
+    + [line.split() for line in (
+        "classify --m 3 --", "classify -- --m 3", "classify --m=3 --n-max=6",
+        "classify --m 3 --n-m 6", "classify --m 3 --m 4", "classify --m 3 extra",
+        "classify --m 3 -h --bogus", "classify --m", "check --bogus",
+        "classify --m 3 --format xml")])
 
 
 @pytest.mark.parametrize("argv", PARITY_ARGV, ids=" ".join)
 def test_one_command_parser_matches_full_parser(argv):
-    full = _parse(None, argv)
-    if argv and argv[0] in cli._COMMANDS:
-        assert _parse(argv[0], argv) == full
-    if isinstance(full, tuple):  # run prints what the full parser prints
+    full = _parse(argv)
+    if isinstance(full, tuple):  # run exits as the full parser does
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             status, out = run_cli(*argv)
         assert (status, out, err.getvalue()) == full
+    else:  # run's parser makes the same namespace, less the command name
+        args, extra = cli._command_parser(argv[0]).parse_known_args(argv[1:])
+        assert extra == [] and vars(full) == dict(vars(args), command=argv[0])
 
 
 def test_full_parser_names_the_missing_command():
-    status, _, err = _parse(None, [])
+    status, _, err = _parse([])
     assert status == 2 and err.endswith("required: command\n")
 
 
@@ -481,6 +488,28 @@ def test_run_builds_only_the_named_subcommand(monkeypatch):
             monkeypatch.setitem(cli._COMMANDS, name, (help_line, fail, handler))
     status, out = run_cli("classify", "--m", "4", "--n-max", "6")
     assert status == 0 and out.startswith("strong evidence up to n=6")
+
+
+def test_run_builds_one_parser_per_valid_request(monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for argv in (["classify", "--m", "4", "--n-max", "6"],
+                 ["count", "--m", "3", "--a", "1", "--b", "2", "--n", "2"]):
+        built.clear()
+        assert run_cli(*argv)[0] == 0
+        assert built == [f"clusterext {argv[0]}"]
+    # an unrecognized argument sends the argv to the full parser too
+    built.clear()
+    with contextlib.redirect_stderr(io.StringIO()):
+        assert run_cli("classify", "--m", "3", "--bogus")[0] == 2
+    assert built == ["clusterext classify", "clusterext",
+                     *[f"clusterext {name}" for name in cli._COMMANDS]]
 
 
 # the required arguments of each subcommand that prints a _Result
@@ -500,7 +529,7 @@ def test_command_table_drives_format_and_handler(monkeypatch):
         name for name, (_, _, handler) in cli._COMMANDS.items() if handler)
     for name, required in REQUIRED_ARGV.items():
         argv = [name, *required.split(), "--format", "json"]
-        assert cli.build_parser(name).parse_args(argv).format == "json"
+        assert cli._command_parser(name).parse_args(argv[1:]).format == "json"
         assert cli.build_parser().parse_args(argv).format == "json"
     assert run_cli("check", "--format", "json")[0] == 2
 

@@ -11,7 +11,7 @@ from clusterext.exact_counts import exact_count, exact_count_sweep, iterated_int
 from clusterext.posets import (ClusterParams, cluster_poset,
                                count_linear_extensions_bruteforce,
                                modified_cluster_poset)
-from oracle import RationalPoly, step_integral
+from oracle import RationalPoly, glue_rank_counts, step_integral
 
 F = Fraction
 
@@ -158,6 +158,26 @@ def test_exact_count_matches_bruteforce_everywhere_small():
                     checked += 1
                     n += 1
     assert checked > 200
+
+
+def test_exact_count_matches_glue_rank_oracle():
+    # every shape with m <= 10 and n <= 10, both variants: a count that
+    # agrees checks the reduction to an integral, not only its arithmetic
+    for m in range(2, 11):
+        for a in range(1, m):
+            for b in range(a + 1, m + 1):
+                for n in range(1, 11):
+                    for variant in "pq":
+                        case = (m, a, b, n, variant)
+                        assert exact_count(ClusterParams(m, a, b, n), variant) \
+                            == glue_rank_counts(*case), case
+
+
+@pytest.mark.parametrize("variant", "pq")
+@pytest.mark.parametrize("shape", [(8, 3, 5, 30), (12, 4, 9, 40), (20, 8, 12, 20)])
+def test_large_counts_match_glue_rank_oracle(shape, variant):
+    # 211-441 elements, far past the order-ideal oracle's 24
+    assert exact_count(ClusterParams(*shape), variant) == glue_rank_counts(*shape, variant)
 
 
 def test_count_equals_normalized_integral():
