@@ -109,8 +109,8 @@ def constant_concavity(t: float, d: int) -> float:
     the t-dependent part of the growth constant along fixed gap d, and its
     negativity is what makes the constant strictly concave in the glue position.
     """
-    if not t >= 0:
-        raise DomainError(f"need t >= 0, got {t}")
+    if not 0 <= t < math.inf:
+        raise DomainError(f"need a finite t >= 0, got {t}")
     require_int("d", d, 2)
     return trigamma(t / d + 1.0) / d - trigamma(t + 1.0)
 

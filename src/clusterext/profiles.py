@@ -12,6 +12,10 @@ density at the profile's value, taken in log space so that it cannot overflow:
 with B the full beta value of the shape parameters; it is positive on (0,1),
 unimodal, and least where the weight density peaks.
 
+One private kernel over a checked shape (alpha, beta, log B), ``_cdf``,
+``_log_density``, ``_invert`` and ``_slope``, serves them all: log B is
+computed once per public call, and once per ``profile_table``.
+
 The same construction solves the general problem: given any positive weight
 h on [0,1] and exponent beta >= 0, the map j with h(j(t)) j'(t)^(beta+1)
 constant and j(0)=0, j(1)=1 is the inverse of the normalized cumulative
@@ -40,10 +44,10 @@ _PROFILE_MAX_ITER = 80
 _BOUND_SLACK = 1e-9  # log-space tolerance of profile_increment_bounds
 
 #: Largest output grid of profile_table and of variational_profile.  A
-#: profile_table point costs 0.03-0.6 ms on one core of a 2-vCPU Xeon VM
-#: (3 <= m <= 40; cheapest at a = 1, b = m, dearest at m = 40 with
-#: b - a = 1), so the cap is at most about 60 s; a variational_profile point
-#: is one interpolation, and the cap bounds its output arrays.
+#: profile_table point costs 0.007-0.17 ms on one core of a 2-vCPU AMD EPYC
+#: VM (3 <= m <= 40; cheapest at a = 1, b = m, dearest at b - a = 1), so the
+#: cap is at most about 20 s; a variational_profile point is one
+#: interpolation, and the cap bounds its output arrays.
 MAX_PROFILE_POINTS = 10 ** 5
 
 #: Minimum tabulation size accepted for the general variational problem.
@@ -82,6 +86,16 @@ def _beta_cf(alpha: float, beta: float, x: float) -> float:
         f"iterations (alpha={alpha}, beta={beta}, x={x})")
 
 
+def _cdf(alpha: float, beta: float, log_b: float, x: float) -> float:
+    """I_x(alpha, beta) for a checked shape and x, with log_b = log B(alpha, beta)."""
+    if x in (0.0, 1.0):
+        return float(x == 1.0)
+    front = math.exp(alpha * math.log(x) + beta * math.log1p(-x) - log_b)
+    if x < (alpha + 1.0) / (alpha + beta + 2.0):
+        return front * _beta_cf(alpha, beta, x) / alpha
+    return 1.0 - front * _beta_cf(beta, alpha, 1.0 - x) / beta
+
+
 def regularized_incomplete_beta(alpha: float, beta: float, x: float) -> float:
     """I_x(alpha, beta): about 1e-13 absolute for alpha + beta <= 300, 1e-12 at 1000,
     worse above; no convergence near the mean from alpha = beta ~ 1.5e6 (README)."""
@@ -89,17 +103,19 @@ def regularized_incomplete_beta(alpha: float, beta: float, x: float) -> float:
         raise DomainError("shape parameters must be finite and strictly positive")
     if not 0.0 <= x <= 1.0:
         raise DomainError(f"x must lie in [0, 1], got {x}")
-    if x in (0.0, 1.0):
-        return float(x == 1.0)
-    front = math.exp(alpha * math.log(x) + beta * math.log1p(-x)
-                     - log_beta(alpha, beta))
-    if x < (alpha + 1.0) / (alpha + beta + 2.0):
-        return front * _beta_cf(alpha, beta, x) / alpha
-    return 1.0 - front * _beta_cf(beta, alpha, 1.0 - x) / beta
+    return _cdf(alpha, beta, log_beta(alpha, beta), x)
 
 
 def _shape(m: int, a: int, b: int) -> Tuple[float, float]:
     return ClusterParams(m, a, b, 1).shape
+
+
+def _checked(m: int, a: int, b: int, t: float) -> Tuple[float, float, float]:
+    """The kernel's (alpha, beta, log_b), once the shape and t in [0, 1] are checked."""
+    alpha, beta = _shape(m, a, b)
+    if not 0.0 <= t <= 1.0:
+        raise DomainError(f"t must lie in [0, 1], got {t}")
+    return alpha, beta, log_beta(alpha, beta)
 
 
 def beta_value(m: int, a: int, b: int) -> float:
@@ -109,45 +125,41 @@ def beta_value(m: int, a: int, b: int) -> float:
 
 def weight_cdf(m: int, a: int, b: int, t: float) -> float:
     """Normalized cumulative weight on [0,1]; strictly increasing, 0 at 0, 1 at 1."""
-    return regularized_incomplete_beta(*_shape(m, a, b), t)
+    return _cdf(*_checked(m, a, b, t), t)
 
 
-def _log_density(alpha: float, beta: float, u: float) -> float:
+def _log_density(alpha: float, beta: float, log_b: float, u: float) -> float:
     """log of the Beta(alpha, beta) density at u in [0, 1], for shapes >= 1.
 
     At an end of [0, 1] the density is 1/B where that end's shape is 1, else 0.
     """
     if 0.0 < u < 1.0:
-        return ((alpha - 1.0) * math.log(u) + (beta - 1.0) * math.log1p(-u)
-                - log_beta(alpha, beta))
+        return (alpha - 1.0) * math.log(u) + (beta - 1.0) * math.log1p(-u) - log_b
     flat = (alpha if u <= 0.0 else beta) == 1.0
-    return -log_beta(alpha, beta) if flat else -math.inf
+    return -log_b if flat else -math.inf
 
 
-def limit_profile(m: int, a: int, b: int, t: float) -> float:
-    """Inverse of the weight cdf: the unique s in [0,1] with cdf(s) = t.
+def _invert(alpha: float, beta: float, log_b: float, t: float) -> float:
+    """The s in [0, 1] with I_s(alpha, beta) = t, for a checked shape and t.
 
     Safeguarded Newton: every iterate stays inside the shrinking bisection
     bracket (a Newton proposal outside it falls back to the midpoint), so
     the method is as robust as bisection near the flat endpoints but
     converges quadratically once the density is healthy.
     """
-    alpha, beta = _shape(m, a, b)
-    if not 0.0 <= t <= 1.0:
-        raise DomainError(f"t must lie in [0, 1], got {t}")
     if t in (0.0, 1.0):
         return float(t == 1.0)
     lo, hi = 0.0, 1.0
     s = 0.5
     for _ in range(_PROFILE_MAX_ITER):
-        g = regularized_incomplete_beta(alpha, beta, s)
+        g = _cdf(alpha, beta, log_b, s)
         if g < t:
             lo = s
         else:
             hi = s
         if abs(g - t) <= 1e-15 or hi - lo <= 1e-13:
             return s
-        density = math.exp(_log_density(alpha, beta, s))
+        density = math.exp(_log_density(alpha, beta, log_b, s))
         step = (g - t) / density if density > 1e-12 else math.inf
         proposal = s - step
         if not lo < proposal < hi:
@@ -155,7 +167,17 @@ def limit_profile(m: int, a: int, b: int, t: float) -> float:
         s = proposal
     raise InternalConsistencyError(
         f"limit profile did not converge in {_PROFILE_MAX_ITER} iterations "
-        f"(m={m}, a={a}, b={b}, t={t})")
+        f"(alpha={alpha}, beta={beta}, t={t})")
+
+
+def _slope(alpha: float, beta: float, log_b: float, t: float) -> float:
+    """The reciprocal density at _invert(alpha, beta, log_b, t): the profile's slope."""
+    return math.exp(-_log_density(alpha, beta, log_b, _invert(alpha, beta, log_b, t)))
+
+
+def limit_profile(m: int, a: int, b: int, t: float) -> float:
+    """Inverse of the weight cdf: the unique s in [0,1] with cdf(s) = t."""
+    return _invert(*_checked(m, a, b, t), t)
 
 
 def limit_profile_slope(m: int, a: int, b: int, t: float) -> float:
@@ -165,12 +187,12 @@ def limit_profile_slope(m: int, a: int, b: int, t: float) -> float:
     slope(t) = B * value^(-(a-1)/(b-a)) * (1-value)^(-(m-b)/(b-a)), taken in
     log space; it diverges at t = 0 when a > 1 and at t = 1 when b < m.
     """
-    return math.exp(-_log_density(*_shape(m, a, b), limit_profile(m, a, b, t)))
+    return _slope(*_checked(m, a, b, t), t)
 
 
 def _density_peak(m: int, a: int, b: int) -> float:
-    """Mode (a-1)/(m-b+a-1) of the weight density; 0.0 where it is flat (a=1, b=m)."""
-    leading = ClusterParams(m, a, b, 1).leading
+    """Mode (a-1)/(m-b+a-1) of a checked shape's density; 0.0 where flat (a=1, b=m)."""
+    leading = m - b + a - 1
     return (a - 1) / leading if leading else 0.0
 
 
@@ -180,10 +202,11 @@ def slope_argmin(m: int, a: int, b: int) -> float:
     For a = 1 and b = m simultaneously the slope is constant and the argmin
     is undefined; that corner raises DegenerateParameterError.
     """
-    if ClusterParams(m, a, b, 1).leading == 0:
+    alpha, beta = _shape(m, a, b)
+    if a == 1 and b == m:
         raise DegenerateParameterError(
             "slope is constant for a = 1, b = m; no interior minimum")
-    return weight_cdf(m, a, b, _density_peak(m, a, b))
+    return _cdf(alpha, beta, log_beta(alpha, beta), _density_peak(m, a, b))
 
 
 class ProfileTable(NamedTuple):
@@ -210,15 +233,16 @@ def profile_table(m: int, a: int, b: int, grid_size: int = 1000) -> ProfileTable
     any point is evaluated, once the shape and grid_size are valid.
     """
     require_int("grid_size", grid_size, 2)
-    _shape(m, a, b)
+    alpha, beta = _shape(m, a, b)
     require_at_most("grid_size", grid_size, MAX_PROFILE_POINTS)
     import numpy as np
 
+    log_b = log_beta(alpha, beta)
     grid = np.linspace(0.0, 1.0, grid_size + 1)
-    values = np.array([limit_profile(m, a, b, t) for t in grid])
-    slopes = np.array([limit_profile_slope(m, a, b, t) for t in grid])
+    values = np.array([_invert(alpha, beta, log_b, t) for t in grid])
+    slopes = np.array([_slope(alpha, beta, log_b, t) for t in grid])
     return ProfileTable(m, a, b, grid, values, slopes,
-                        weight_cdf(m, a, b, _density_peak(m, a, b)))
+                        _cdf(alpha, beta, log_b, _density_peak(m, a, b)))
 
 
 class VariationalProblem(namedtuple("VariationalProblem", "weights exponent")):
@@ -295,7 +319,8 @@ def profile_increment_bounds(m: int, a: int, b: int,
     (the products underflow for long sequences) with a slack of 1e-9.
     """
     alpha, beta = _shape(m, a, b)
-    log_min_slope = -_log_density(alpha, beta, _density_peak(m, a, b))
+    log_b = log_beta(alpha, beta)
+    log_min_slope = -_log_density(alpha, beta, log_b, _density_peak(m, a, b))
     for seq in sequences:
         y = [float(v) for v in seq]
         if len(y) < 2:
@@ -304,7 +329,7 @@ def profile_increment_bounds(m: int, a: int, b: int,
             raise InvalidInputError(
                 "sequences must be strictly increasing inside (0, 1)")
         values = [limit_profile(m, a, b, v) for v in y]
-        log_slopes = [-_log_density(alpha, beta, f) for f in values]
+        log_slopes = [-_log_density(alpha, beta, log_b, f) for f in values]
         log_gaps = [math.log(v - u) for u, v in zip(y, y[1:])]
         mid = (sum(math.log(v - u) for u, v in zip(values, values[1:]))
                - sum(log_slopes))

@@ -128,7 +128,7 @@ def test_constant_concavity_values():
     assert asymptotics.constant_concavity(5.0, 3) < 0
     with pytest.raises(InvalidInputError):
         asymptotics.constant_concavity(1.0, 1)
-    for t in (-0.1, math.nan):
+    for t in (-0.1, math.nan, math.inf):  # trigamma(inf) = 0 would give 0.0
         with pytest.raises(DomainError):
             asymptotics.constant_concavity(t, 2)
 

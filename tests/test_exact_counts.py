@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from clusterext import exact_counts
 from clusterext.errors import InternalConsistencyError, InvalidInputError
-from clusterext.exact_counts import exact_count, exact_count_sweep, iterated_integral
+from clusterext.exact_counts import (exact_count, exact_count_sweep, iterated_integral,
+                                     sandwich_check)
 from clusterext.posets import (ClusterParams, cluster_poset,
                                count_linear_extensions_bruteforce,
                                modified_cluster_poset)
@@ -173,11 +174,50 @@ def test_exact_count_matches_glue_rank_oracle():
                             == glue_rank_counts(*case), case
 
 
+LARGE_SHAPES = [(8, 3, 5, 30), (12, 4, 9, 40), (20, 8, 12, 20)]
+
+
 @pytest.mark.parametrize("variant", "pq")
-@pytest.mark.parametrize("shape", [(8, 3, 5, 30), (12, 4, 9, 40), (20, 8, 12, 20)])
+@pytest.mark.parametrize("shape", LARGE_SHAPES)
 def test_large_counts_match_glue_rank_oracle(shape, variant):
     # 211-441 elements, far past the order-ideal oracle's 24
     assert exact_count(ClusterParams(*shape), variant) == glue_rank_counts(*shape, variant)
+
+
+@st.composite
+def shapes_of_size(draw, size):
+    """(m, a, b, n) whose padded poset, the larger variant, has at most size elements."""
+    m = draw(st.integers(2, size // 2))
+    a = draw(st.integers(1, m - 1))
+    b = draw(st.integers(a + 1, m))
+    return m, a, b, draw(st.integers(1, (size - (m - b + a)) // (m - 1)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(shape=shapes_of_size(300), variant=st.sampled_from("pq"))
+def test_glue_rank_oracle_property(shape, variant):
+    assert exact_count(ClusterParams(*shape), variant) == glue_rank_counts(*shape, variant)
+
+
+@pytest.mark.parametrize("variant", "pq")
+@pytest.mark.parametrize("shape", LARGE_SHAPES)
+def test_large_integrals_match_glue_rank_oracle(shape, variant):
+    m, a, b, n = shape
+    params = ClusterParams(*shape)
+    padded = variant == "q"
+    normalizers = (math.factorial(b - a - 1) ** n
+                   * (math.factorial(a - 1) * math.factorial(m - b)) ** (n + padded))
+    size = params.q_size if padded else params.p_size
+    assert size > 24
+    assert iterated_integral(params, variant) == F(
+        glue_rank_counts(*shape, variant) * normalizers, math.factorial(size))
+
+
+@pytest.mark.parametrize("shape", LARGE_SHAPES)
+def test_large_sandwich_matches_glue_rank_oracle(shape):
+    params = ClusterParams(*shape)
+    e_p, e_q = glue_rank_counts(*shape, "p"), glue_rank_counts(*shape, "q")
+    assert sandwich_check(params) is (e_p <= e_q <= params.q_size ** params.leading * e_p)
 
 
 def test_count_equals_normalized_integral():

@@ -7,6 +7,7 @@ from scipy.special import betainc
 from scipy.stats import beta as beta_dist
 
 from clusterext import profiles
+from clusterext.asymptotics import log_beta
 from clusterext.errors import (DegenerateParameterError, DomainError,
                                InternalConsistencyError, InvalidInputError,
                                ResourceLimitError)
@@ -142,12 +143,20 @@ def test_slope_endpoint_divergences():
         assert limit_profile_slope(m, a, b, 1.0) == (bval if b == m else math.inf)
 
 
-@pytest.mark.parametrize("t", [-0.1, 1.5, math.nan])
+@pytest.mark.parametrize("t", [-0.1, 1.5, 2.0, math.nan])
 def test_profile_and_slope_refuse_t_outside_the_unit_interval(t):
-    with pytest.raises(DomainError):
-        limit_profile(8, 3, 5, t)
-    with pytest.raises(DomainError):
-        limit_profile_slope(8, 3, 5, t)
+    # weight_cdf names its own argument, not regularized_incomplete_beta's x
+    for fn in (limit_profile, limit_profile_slope, weight_cdf):
+        with pytest.raises(DomainError, match=rf"^t must lie in \[0, 1\], got {t}$"):
+            fn(5, 2, 4, t)
+
+
+def test_shape_beyond_the_float_range_is_refused_at_every_t():
+    # log B overflows; the endpoints, which need no evaluation, are refused too
+    for fn in (limit_profile, limit_profile_slope, weight_cdf):
+        for t in (0.0, 0.5, 1.0):
+            with pytest.raises(DomainError, match="beyond the float range"):
+                fn(10 ** 306, 1, 2, t)
 
 
 def test_slope_argmin_values():
@@ -184,11 +193,36 @@ def test_profile_table_argmin_near_minimum_all_params():
         assert abs(table.grid[k] - table.slope_minimum) <= cell + 1e-12, (m, a, b)
 
 
+TABLE_SHAPES = ALL_PARAMS_M8 + [(40, 1, 39), (40, 2, 40), (40, 1, 40)]
+
+
+@pytest.mark.parametrize("m,a,b", TABLE_SHAPES)
+def test_profile_table_equals_the_per_point_functions(m, a, b):
+    # the table's shared shape constants change no bit of any value or slope
+    table = profile_table(m, a, b, 200)
+    assert table.values.tolist() == [limit_profile(m, a, b, t) for t in table.grid]
+    assert table.slopes.tolist() == [limit_profile_slope(m, a, b, t) for t in table.grid]
+    flat = a == 1 and b == m
+    assert table.slope_minimum == (0.0 if flat else slope_argmin(m, a, b))
+
+
+def test_profile_table_computes_log_beta_once(monkeypatch):
+    calls = []
+
+    def counting(alpha, beta):
+        calls.append((alpha, beta))
+        return log_beta(alpha, beta)
+
+    monkeypatch.setattr(profiles, "log_beta", counting)
+    profile_table(8, 3, 5, 1000)
+    assert 1 <= len(calls) <= 3  # one per evaluation would be about 20,000
+
+
 def test_profile_grid_over_cap_is_refused_before_any_point(monkeypatch):
     def fail(*args):
         raise AssertionError("a profile point was evaluated")
 
-    monkeypatch.setattr(profiles, "limit_profile", fail)
+    monkeypatch.setattr(profiles, "_invert", fail)
     # just past the cap: without it, the first point fails, and nothing large runs
     with pytest.raises(ResourceLimitError):
         profile_table(8, 3, 5, profiles.MAX_PROFILE_POINTS + 1)
