@@ -1,8 +1,8 @@
 """Consecutive-pattern equivalence evidence from exact occurrence histograms.
 
-The histograms over all of S_n come from one depth-first sweep of S_n that
-walks half the tree and credits the other half to the complemented
-patterns.
+The histograms over all of S_n come from the Goulden-Jackson cluster
+numbers of each pattern: the texts covered by overlapping marked
+occurrences, counted as linear extensions of small cluster posets.
 
 Two patterns are strongly c-Wilf equivalent when, for every text length,
 the full distributions of their occurrence counts agree.  Reverse and

@@ -3,7 +3,7 @@
 The package has six layers:
 
 * :mod:`clusterext.patterns` -- consecutive permutation patterns and
-  (strong) c-Wilf equivalence evidence from one incremental sweep of S_n;
+  (strong) c-Wilf equivalence evidence from their cluster numbers;
 * :mod:`clusterext.posets` -- the glued-chain posets, a general finite-poset
   value, and a brute-force extension counter (the oracle); it depends on no
   other layer;

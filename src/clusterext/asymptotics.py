@@ -42,6 +42,23 @@ def log_beta(alpha: float, beta: float) -> float:
         raise DomainError(f"log_beta({alpha}, {beta}) is beyond the float range") from None
 
 
+def _trigamma_sum(x: float, rest: bool) -> float:
+    """trigamma(x), or with ``rest`` trigamma(x) - 1/x, from the shift to
+    x >= 10 and the asymptotic tail.  The rest shifts by the terms
+    1/(x^2 (x+1)) = 1/x^2 - (1/x - 1/(x+1)), which telescope, so it is
+    summed without a subtraction."""
+    acc = 0.0
+    while x < 10.0:
+        acc += 1.0 / (x * x * (x + 1.0)) if rest else 1.0 / (x * x)
+        x += 1.0
+    inv = 1.0 / x
+    inv2 = inv * inv
+    tail = 0.0
+    for coeff in reversed(_TRIGAMMA_TAIL):
+        tail = tail * inv2 + coeff
+    return acc + (0.0 if rest else inv) + 0.5 * inv2 + tail * inv2 * inv
+
+
 def trigamma(x: float) -> float:
     """Sum of 1/(x+k)^2 over k >= 0, for x > 0.
 
@@ -53,16 +70,7 @@ def trigamma(x: float) -> float:
         raise DomainError(f"trigamma requires x > 0, got {x}")
     if x * x == 0.0:
         return math.inf
-    acc = 0.0
-    while x < 10.0:
-        acc += 1.0 / (x * x)
-        x += 1.0
-    inv = 1.0 / x
-    inv2 = inv * inv
-    tail = 0.0
-    for coeff in reversed(_TRIGAMMA_TAIL):
-        tail = tail * inv2 + coeff
-    return acc + inv + 0.5 * inv2 + tail * inv2 * inv
+    return _trigamma_sum(x, False)
 
 
 class AsymptoticConstant(NamedTuple):
@@ -108,11 +116,15 @@ def constant_concavity(t: float, d: int) -> float:
     This is the second derivative in t of d log Gamma(t/d + 1) - log Gamma(t+1),
     the t-dependent part of the growth constant along fixed gap d, and its
     negativity is what makes the constant strictly concave in the glue position.
+    With R(x) = trigamma(x) - 1/x it is evaluated as
+    -(d-1)/((t+d)(t+1)) + R(t/d + 1)/d - R(t + 1), which does not cancel at
+    large t, where the value is about -(d-1)/(2t^2).
     """
     if not 0 <= t < math.inf:
         raise DomainError(f"need a finite t >= 0, got {t}")
     require_int("d", d, 2)
-    return trigamma(t / d + 1.0) / d - trigamma(t + 1.0)
+    return (-(d - 1) / (t + d) / (t + 1.0)
+            + _trigamma_sum(t / d + 1.0, True) / d - _trigamma_sum(t + 1.0, True))
 
 
 def _check_gap_hypotheses(m: int, a: int, b: int, a2: int, b2: int) -> None:

@@ -7,42 +7,31 @@ occurrence search, reverse/complement, the standard and non-overlapping
 predicates) this module provides exact occurrence histograms over all of
 S_n, which yield finite evidence for (strong) c-Wilf equivalence.
 
-The histograms for every horizon n = m..n_max come from one depth-first
-sweep of S_n_max (a shorter text holds no occurrence).  A node of depth d
-is a permutation of S_d; its children append an entry of rank r = 1..d+1
-(entries at or above r move up by one), so every permutation of every S_n
-is visited once and adds exactly one new window.  That window's pattern
-comes from a table indexed by the pattern of the last m-1 entries and the
-number j of them below r.  All ranks with the same j make the same window,
-so a node handles its children in m groups.  The last two levels are never
-visited: a node of depth n_max - 2 tallies its children and their leaves
-in closed form, since the children of one group share their window, their
-tail pattern and their counts, and only the two leaf gaps next to the new
-entry depend on it, linearly.
+The histograms come from the cluster method of Goulden and Jackson (1979).
+A cluster of p of length L with k marks is a text of S_L covered by k
+marked windows that hold p, each overlapping the next; r_(L,k) counts them.
+Marks start s apart for a self-overlap shift s of p, an s < m with
+st(p[s:]) = st(p[:m-s]), and the texts with one shift sequence are the
+linear extensions of its cluster poset (Elizalde and Noy 2012): its L
+positions, each window a chain ordered by p's values.  ``_clusters`` walks
+the shift sequences depth-first and counts each poset with
+:func:`clusterext.posets.count_linear_extensions_bruteforce`.  With
+c_L(t) = sum_k r_(L,k) t^k, the texts of S_n with j occurrences are the
+coefficients of u^j in
 
-Reverse and complement keep every histogram.  Complement maps the subtree
-under a node of depth m-1 onto the subtree under its complement, and no
-permutation of S_k with k >= 2 is its own complement, so for m >= 3 the
-sweep walks only the roots whose first entry is below their second, and
-each orbit {p, pR, pC, pRC} takes the tallies of its first pattern p and of
-pC.  The orbits are numbered before the walk, so every window whose orbit
-takes its tallies counts straight into that orbit's row, and the walk
-tallies no other window (pR and pRC, and pC at m = 2): about half of them.
-A list along the current branch holds each such window's next slot in its
-row, and one flat list per depth d counts the depth-d nodes that make each
-slot's occurrence.  Each depth-(n-1) node has n children that inherit its
-counts, so the number of texts in S_n with at least c occurrences is n
-times that number in S_(n-1) plus the new ones, one running list for all
-rows.  At n_max = m there is no walk: each pattern of S_m occurs in one
-text of S_m, itself.
+    f_n = n f_(n-1) + sum_(L=m..n) C(n, L) c_L(u - 1) f_(n-L),   f_0 = 1.
 
-The cost is about (n_max - 2)!/2 calls with m group steps and about m^2/2
-leaf products each, plus O(m) per node of lower depth, a few list steps per
-pattern of S_m for the tables and orbits, and one list step per slot,
-about (m!/4)(n_max - m + 2), per level; there is no per-text factor of m!.
+The term of L = n in f_n is c_n(u - 1), so the numbers r_(L,k) with
+L <= n_max and the histograms over S_1..S_n_max fix each other, and so do
+the sums c_L(-1) and the avoider counts.  Evidence is keyed on those
+numbers, once per reverse/complement orbit.
+
+The cost follows the number of shift sequences of total at most n_max - m,
+each one poset of at most n_max elements: about 2^(n_max - m) for a
+pattern with shift 1, and a few for most patterns, whose shortest shift is
+near m.  On one core of a 2-vCPU AMD EPYC VM (Python 3.11)
 ``classify --m 7 --n-max 10``, the largest request the caps allow, takes
-about 0.48 s on one core of a 2-vCPU Xeon VM, and ``_sweep(7, 10)``
-0.22-0.32 s of it.
+9 ms in-process, and each histogram at n = 10 under 1 ms.
 
 Equivalence results obtained here are evidence up to a stated text length,
 never proofs.
@@ -51,24 +40,25 @@ never proofs.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from itertools import permutations as _permutations
-from operator import itemgetter
 from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from .errors import InvalidInputError, require_at_most, require_int
+from .posets import FinitePoset, count_linear_extensions_bruteforce
 
 Pattern = Tuple[int, ...]
 
-#: Largest text length for the n! occurrence enumerations.
+#: Largest text length for histograms and evidence.  The cluster walk
+#: about doubles per step of n for a pattern with shift 1: ``_clusters``
+#: of 12345 takes 0.5 ms at n = 10 and 38 ms at n = 16 on one core of a
+#: 2-vCPU AMD EPYC VM.
 MAX_TEXT_LENGTH = 10
 #: Largest pattern length for the m! non-overlap census.
 MAX_CENSUS_LENGTH = 11
-#: Largest pattern length for whole-S_m classification, and for any sweep
-#: that reaches a text of length m: its tables have m! entries and each
-#: level m!/4 orbit rows.  At m = 8 the tables take 6-13 ms,
-#: ``evidence_classes(8, 8)`` 26-55 ms and ``_sweep(8, 10)`` 0.46-0.53 s
-#: at 24 MiB peak RSS on one core of a 2-vCPU Xeon VM.
+#: Largest pattern length for whole-S_m classification, and for any
+#: histogram that reaches a text of length m.  On the VM above,
+#: ``evidence_classes(8, 10)`` would take 0.08 s and (8, 12) 0.10 s at
+#: 26 MiB peak RSS, one cluster walk per orbit, about m!/4 of them.
 MAX_CLASSIFY_LENGTH = 7
 
 
@@ -191,170 +181,45 @@ class OccurrenceHistogram(NamedTuple):
         return self.counts.get(0, 0)
 
 
-def _window_tables(m: int) -> Tuple[List[int], List[int], List[int]]:
-    """Index tables over S_m, built from those over S_(m-1) by list slices.
+def _clusters(p: Pattern, longest: int) -> Dict[Tuple[int, int], int]:
+    """Cluster numbers r_(L,k) of ``p`` for every length L <= ``longest``.
 
-    Window w = s*m + j is the pattern whose first m-1 entries have the
-    pattern of lex rank s in S_(m-1) and whose last entry lies above j of
-    them.  lex[w] is its lex rank, suffix[w] the lex rank of the pattern of
-    its last m-1 entries, and rev[x] the lex rank of the reverse of the
-    pattern of lex rank x.  The pattern of lex rank (p1-1)*(m-1)! + y
-    starts with p1, and y ranks the pattern of the rest, a window of
-    S_(m-1); reversed, it is the window with tail rev(y) and j = p1 - 1.
+    The k windows of a cluster start at 0 = i_1 < ... < i_k = L - m, each
+    step i_(j+1) - i_j a self-overlap shift of p; its texts are the linear
+    extensions of the L positions ordered by p's values within each window.
     """
-    lex, rev = [0], [0]  # S_1, whose one window has an empty tail
-    for k in range(2, m + 1):
-        block, size = math.factorial(k - 2) * k, math.factorial(k - 1)
-        suffix, tab = [0] * (k * size), [0] * (k * size)
-        for t1 in range(1, k):  # the first entry of the tail
-            stop = t1 * block
-            for j in range(k):
-                # the windows with tail (t1, ...) and j sit at stop - block + j,
-                # step k; their suffixes are the windows of S_(k-1) whose
-                # tail is the rest of the tail, above j or j - 1 entries
-                col = lex[j - (t1 <= j)::k - 1]
-                suffix[stop - block + j:stop:k] = col
-                low = (t1 - 1 + (t1 > j)) * size  # lex rank of the first entry
-                tab[stop - block + j:stop:k] = [low + y for y in col]
-        rev = [tab[r * k + j] for j in range(k) for r in rev]
-        lex = tab
-    return lex, suffix, rev
-
-
-@lru_cache(maxsize=None)
-def _sweep(m: int, n_max: int) -> Tuple[List[int], Tuple[List[List[int]], ...]]:
-    """Occurrence counts of the length-m patterns over S_m, ..., S_n_max.
-
-    Returns ``orbit``, which maps the lex rank of each pattern of S_m to its
-    reverse/complement orbit, and one level per n = m..n_max.  Orbits are
-    numbered in lex order of their first patterns.  Level n - m holds one
-    row per orbit: row[c-1] is the number of texts in S_n with at least c
-    occurrences of any one of the orbit's patterns (see ``_histogram``).
-    A caller must not change a row.  Texts shorter than m have no
-    occurrence, so n_max must be at least m.  A sweep with m >
-    MAX_CLASSIFY_LENGTH raises ResourceLimitError before it builds any table.
-
-    ``visit`` calls itself down to depth n_max - 2, about (n_max - 2)!/2
-    calls, and each of those tallies its m groups of children and, in each
-    group, the summed leaf gap of each window whose orbit takes its tallies,
-    one product each, about m^2/2 a call.  ``_sweep(7, 10)`` takes
-    0.22-0.32 s on one core of a 2-vCPU Xeon VM.
-    """
-    if m == 1:  # every entry is an occurrence of the one pattern
-        return [0], tuple([[math.factorial(n)] * n] for n in range(1, n_max + 1))
-    require_at_most("swept pattern length", m, MAX_CLASSIFY_LENGTH)
-    lex, suffix, rev = _window_tables(m)
-    size = len(lex)
-    # number the orbits {x, xC, xR, xRC} in lex order (complement maps lex
-    # rank x to m! - 1 - x) and credit each one's row with the tallies of
-    # its first pattern and, for half the roots, of that pattern's complement
-    half = m >= 3
-    orbit, credit = [-1] * size, [None] * size
-    rows: List[List[int]] = []
-    for x in range(size):
-        if orbit[x] < 0:
-            r = rev[x]
-            orbit[x] = orbit[size - 1 - x] = orbit[r] = orbit[size - 1 - r] = len(rows)
-            credit[x] = credit[size - 1 - x if half else x] = len(rows)
-            rows.append([1])  # the one text of S_m that holds x is x itself
-    if n_max == m:  # no walk: those rows are the one level
-        return orbit, (rows,)
-    # a window occurs at most n_max - m + 1 times in a text of S_n_max, so
-    # slot o*K + c of a flat tally holds the c-th occurrences credited to
-    # row o; a window without credit has no slot, and nxt 0
-    K = n_max - m + 2
-    nxt = [0 if credit[x] is None else K * credit[x] + 1 for x in lex]
-    # the j's of the windows with credit, per tail pattern
-    taken = [tuple(j for j in range(m) if nxt[s * m + j])
-             for s in range(size // m)]
-    # first[d - m]: the depth-d nodes whose new window makes the occurrence
-    # of each slot; no window is complete below depth m
-    first = [[0] * (K * len(rows) + 1) for _ in range(m, n_max + 1)]
-
-    def visit(d: int, tail: Pattern, s: int) -> None:
-        # tail: the last m-1 entries of a permutation in S_d; s: its pattern
-        cuts = (0, *sorted(tail), d + 1)
-        base, tally = s * m, first[d + 1 - m]
-        rest = tail[1:]
-        last = d + 2 == n_max  # tally the children's leaves here too
-        if last:
-            # a child with new entry r keeps the rest of the tail, the values
-            # above r moved up by one, so its leaf gaps are those of rcuts
-            # with the gap around r split in two
-            rcuts = (0, *sorted(rest), d + 1)
-            gaps = [b - a for a, b in zip(rcuts, rcuts[1:])]
-            leaves, low = first[-1], cuts.index(tail[0])
-        for j in range(m):
-            lo, hi = cuts[j], cuts[j + 1]
-            g, w = hi - lo, base + j
-            i = nxt[w]  # 0 when w's orbit does not take its tallies
-            if i:
-                tally[i] += g
-                nxt[w] = i + 1
-            if last:
-                # r runs over (lo, hi], inside gap k of rcuts; summed over r,
-                # leaf gap t is g*gaps[t] below k and g*gaps[t-1] above k+1,
-                # gap k (below r) is below, and gaps k and k+1 g*(gaps[k]+1)
-                k = j - (low <= j)
-                below = g * (lo - rcuts[k]) + g * (g + 1) // 2
-                u = suffix[w]  # the tail pattern of the leaves' windows
-                y = u * m
-                for t in taken[u]:
-                    leaves[nxt[y + t]] += (g * gaps[t] if t < k else below if t == k
-                                           else g * (gaps[k] + 1) - below if t == k + 1
-                                           else g * gaps[t - 1])
-            else:
-                # the ranks r in (lo, hi] sit above exactly j tail entries
-                for r in range(lo + 1, hi + 1):
-                    visit(d + 1, tuple([v + (v >= r) for v in rest]) + (r,), suffix[w])
-            if i:
-                nxt[w] = i
-
-    # half the roots (see the module docstring); the complement of window w
-    # is m! - 1 - w, since complement reverses the lex order of the tails
-    # and maps j to m - 1 - j
-    for s, tail in enumerate(_permutations(range(1, m))):
-        if not half or tail[0] < tail[1]:
-            visit(m - 1, tail, s)
-    del visit  # it refers to itself: free the branch tables now, not at a full gc
-    levels, acc = [], [0] * len(first[0])
-    for n, tally in enumerate(first, start=m):
-        # each depth-(n-1) node has n children, which inherit its counts
-        acc = [n * g + t for g, t in zip(acc, tally)]
-        # at-least-c counts fall as c grows, and slot 0 of every row, like
-        # the one slot after the last row, stays 0, so each row ends at its
-        # first zero
-        levels.append([acc[i:acc.index(0, i)] for i in range(1, K * len(rows), K)])
-    return orbit, tuple(levels)
-
-
-def _histogram(row: List[int], n: int) -> Dict[int, int]:
-    """Histogram over S_n from the texts with at least c = 1, 2, ... occurrences."""
-    g = [math.factorial(n), *row, 0]
-    return {k: g[k] - g[k + 1] for k in range(len(row) + 1) if g[k] != g[k + 1]}
-
-
-def _rank(p: Pattern) -> int:
-    """Lex rank of ``p`` among the permutations of its length."""
-    r = 0
-    for i, v in enumerate(p):
-        r = r * (len(p) - i) + sum(u < v for u in p[i + 1:])
+    m = len(p)
+    order = sorted(range(m), key=p.__getitem__)  # one window's chain
+    # st(p[s:]) = st(p[:m-s]) when both ends list their positions alike
+    shifts = [s for s in range(1, min(m, longest - m + 1))
+              if [i - s for i in order if i >= s] == [i for i in order if i < m - s]]
+    links = list(zip(order, order[1:]))
+    r = {(m, 1): 1}  # a single window is a chain
+    stack = [(m, 1, links)]  # length, windows and covers of a shift sequence
+    while stack:
+        n, k, covers = stack.pop()
+        for s in shifts:
+            if n + s > longest:
+                break
+            start = n + s - m  # the first position of the new window
+            step = covers + [(x + start, y + start) for x, y in links]
+            key = (n + s, k + 1)
+            r[key] = r.get(key, 0) + count_linear_extensions_bruteforce(
+                FinitePoset([str(i) for i in range(n + s)], step))
+            stack.append((n + s, k + 1, step))
     return r
 
 
-def _orbit_rows(p: Pattern, n_max: int) -> List[List[int]]:
-    """The rows of ``p``'s orbit for n = m..n_max, read from the cached sweep."""
-    if n_max < len(p):  # no text is long enough to hold p: no table needed
-        return []
-    orbit, levels = _sweep(len(p), n_max)
-    o = orbit[_rank(p)]
-    return [rows[o] for rows in levels]
-
-
-def _evidence(strong: bool):
-    """What evidence keeps of a row: all of it, which fixes the histogram
-    (strong), or its first entry, n! minus the avoiders (weak)."""
-    return tuple if strong else itemgetter(0)
+def _key(p: Pattern, n_max: int, strong: bool) -> tuple:
+    """A key that fixes the histograms (strong) or the avoiders (weak) of
+    ``p`` over S_1..S_n_max: every r_(L,k), or c_L(-1) per L."""
+    r = _clusters(p, n_max)
+    if strong:
+        return tuple(sorted(r.items()))
+    weak = [0] * (n_max + 1)
+    for (n, k), count in r.items():
+        weak[n] += -count if k % 2 else count
+    return tuple(weak)
 
 
 def occurrence_histogram(pattern: Sequence[int], n: int) -> OccurrenceHistogram:
@@ -368,7 +233,24 @@ def occurrence_histogram(pattern: Sequence[int], n: int) -> OccurrenceHistogram:
     require_at_most("text length", n, MAX_TEXT_LENGTH)
     if n < len(p):  # no text is long enough to hold p
         return OccurrenceHistogram(n, {0: math.factorial(n)})
-    return OccurrenceHistogram(n, _histogram(_orbit_rows(p, n)[-1], n))
+    require_at_most("swept pattern length", len(p), MAX_CLASSIFY_LENGTH)
+    # c_L(u - 1) = sum_k r_(L,k) (u - 1)^k, as coefficients of u
+    c: Dict[int, List[int]] = {}
+    for (length, k), r in _clusters(p, n).items():
+        poly = c.setdefault(length, [0] * (length + 1))
+        for j in range(k + 1):
+            poly[j] += (-1) ** (k - j) * math.comb(k, j) * r
+    f = [[1]]  # f[i][j]: the texts of S_i with j occurrences
+    for i in range(1, n + 1):
+        row = [i * x for x in f[-1]] + [0]
+        for length, poly in c.items():
+            if length <= i:
+                w, rest = math.comb(i, length), f[i - length]
+                for a, x in enumerate(poly):
+                    for b, y in enumerate(rest):
+                        row[a + b] += w * x * y
+        f.append(row)
+    return OccurrenceHistogram(n, {k: v for k, v in enumerate(f[n]) if v})
 
 
 def cwilf_evidence(p: Sequence[int], q: Sequence[int], n_max: int,
@@ -384,9 +266,10 @@ def cwilf_evidence(p: Sequence[int], q: Sequence[int], n_max: int,
         raise InvalidInputError("patterns must have the same length")
     require_int("text length", n_max, 1)
     require_at_most("text length", n_max, MAX_TEXT_LENGTH)
-    pick = _evidence(strong)
-    return (list(map(pick, _orbit_rows(pp, n_max)))
-            == list(map(pick, _orbit_rows(qq, n_max))))
+    if n_max < len(pp):  # no text is long enough to hold either
+        return True
+    require_at_most("swept pattern length", len(pp), MAX_CLASSIFY_LENGTH)
+    return _key(pp, n_max, strong) == _key(qq, n_max, strong)
 
 
 def evidence_classes(m: int, n_max: int, strong: bool = True) -> List[List[Pattern]]:
@@ -399,17 +282,17 @@ def evidence_classes(m: int, n_max: int, strong: bool = True) -> List[List[Patte
     require_int("text length", n_max, 1)
     require_at_most("text length", n_max, MAX_TEXT_LENGTH)
     require_at_most("classified pattern length", m, MAX_CLASSIFY_LENGTH)
-    if n_max < m:  # every histogram is {0: n!}
+    if n_max <= m:  # each pattern of S_m occurs in one text of S_m, itself
         return [list(_permutations(range(1, m + 1)))]
-    # reverse and complement keep every histogram: key one row per orbit,
-    # and skip the levels n < m, which are the same for every pattern
-    orbit, levels = _sweep(m, n_max)
-    pick = _evidence(strong)
+    # reverse and complement keep every histogram: key one pattern per orbit
+    keys: Dict[Pattern, tuple] = {}
     groups: Dict[tuple, List[Pattern]] = {}
-    members = [groups.setdefault(key, [])
-               for key in zip(*[list(map(pick, rows)) for rows in levels])]
-    # patterns arrive in lex order and orbits are numbered in lex order of
-    # their first patterns, so the classes come out sorted
-    for p, o in zip(_permutations(range(1, m + 1)), orbit):
-        members[o].append(p)
+    for p in _permutations(range(1, m + 1)):
+        key = keys.get(p)
+        if key is None:
+            c = tuple(m + 1 - v for v in p)
+            key = _key(p, n_max, strong)
+            keys.update(dict.fromkeys((p[::-1], c, c[::-1]), key))
+        # patterns arrive in lex order, so the classes come out sorted
+        groups.setdefault(key, []).append(p)
     return list(groups.values())

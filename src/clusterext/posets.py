@@ -4,9 +4,10 @@ The family studied here glues n chains of length m so that the b-th element
 of each chain is the a-th element of the next.  A modified variant pads the
 first and last chain with short boundary chains so that every glue element
 carries the same weight profile.  Both are ordinary finite posets; the
-brute-force counter below works for any poset of at most 24 elements and is
+brute-force counter below works for any poset of at most 24 elements; it is
 the independent oracle for the integral-based counts in
-:mod:`clusterext.exact_counts`.  This module is the bottom layer: it imports
+:mod:`clusterext.exact_counts`, and counts the cluster posets of
+:mod:`clusterext.patterns`.  This module is the bottom layer: it imports
 nothing from the package but its exceptions.
 """
 

@@ -7,9 +7,11 @@
   of the current glue element, with binomials only; no integral and no
   code of :mod:`clusterext.exact_counts`.
 * ``_histograms_for_length``: the per-length brute-force S_n sweep that
-  :mod:`clusterext.patterns` replaced by one incremental depth-first sweep;
-  it ranks every window of every text from scratch and tallies all m!
-  patterns per text.
+  :mod:`clusterext.patterns` replaced by the Goulden-Jackson cluster
+  recurrence; it ranks every window of every text from scratch and tallies
+  all m! patterns per text.
+* ``cluster_numbers_by_texts``: the cluster numbers r_(L,k) counted on the
+  texts of S_L, with no cluster poset and no linear extension.
 * ``evidence_classes_by_pattern``: S_m partitioned by those histograms with
   every pattern keyed on its own, the loop that
   :func:`clusterext.patterns.evidence_classes` replaced by one key per
@@ -165,6 +167,28 @@ def _histograms_for_length(m: int, n: int) -> Dict[Pattern, Dict[int, int]]:
             k = seen.get(p, 0)
             d[k] = d.get(k, 0) + 1
     return hist
+
+
+def cluster_numbers_by_texts(p: Pattern, L: int) -> Dict[int, int]:
+    """{k: r_(L,k)}: over the texts of S_L, the chains of k marked
+    occurrences of ``p`` that start at 1, end at L - m + 1 and step less
+    than m."""
+    m = len(p)
+    r: Dict[int, int] = {}
+    for text in _permutations(range(1, L + 1)):
+        # ways[i]: chains by size from start 0 to the occurrence at i
+        ways: Dict[int, Dict[int, int]] = {}
+        for i in range(L - m + 1):
+            if _window_pattern(text[i:i + m]) != p:
+                continue
+            here = {1: 1} if i == 0 else {}
+            for j in range(max(0, i - m + 1), i):
+                for k, w in ways.get(j, {}).items():
+                    here[k + 1] = here.get(k + 1, 0) + w
+            ways[i] = here
+        for k, w in ways.get(L - m, {}).items():
+            r[k] = r.get(k, 0) + w
+    return r
 
 
 def evidence_classes_by_pattern(m: int, n_max: int,

@@ -133,6 +133,17 @@ def test_constant_concavity_values():
             asymptotics.constant_concavity(t, 2)
 
 
+@pytest.mark.parametrize("d", [2, 3, 5, 10])
+def test_constant_concavity_keeps_its_large_t_asymptote(d):
+    # the difference of two trigamma values cancels once t is large; the
+    # value is -(d-1)/(2t^2) up to a relative O(d/t)
+    for e in range(8, 151, 2):
+        t = 10.0 ** e
+        want = -(d - 1) / (2 * t * t)
+        got = asymptotics.constant_concavity(t, d)
+        assert got == pytest.approx(want, rel=1e-6, abs=0), t
+
+
 def test_constant_unimodal_in_glue_position():
     # along fixed gap d >= 2 the constant increases up to the symmetry point
     # (m - d + 1)/2 and mirrors around it; for d = 1 it is constant in t

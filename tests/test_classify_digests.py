@@ -1,17 +1,20 @@
 """Identity gate: evidence classes and sweep rows match recorded SHA-256 digests.
 
 ``classify_digests.json`` was recorded from the per-length brute-force
-sweep (now ``tests/oracle.py``) that the single incremental S_n sweep
-replaced, so any change to the partition a caller gets back fails here.
-The horizons are those of the ``classify_patterns`` benchmark workload,
-plus m = 7, the largest pattern length the caps allow, at n_max 8 and 9.
+sweep (now ``tests/oracle.py``), so any change to the partition a caller
+gets back fails here.  The horizons are those of the ``classify_patterns``
+benchmark workload, plus m = 7, the largest pattern length the caps allow,
+at n_max 8 and 9.
 
-``sweep_digests.json`` pins what ``_sweep(m, n_max)`` returns, the orbit
-of each pattern and every count row, at the benchmark's horizons for
-m = 3..6 (those with n_max >= m), at m = 7 with n_max 8, 9 and 10, at
-n_max = m for m = 2..7, which the sweep answers without a walk, and at
-(2, 8), the one length that walks every root.  A wrong count that splits
-no class leaves the class digests alone but moves a row digest.
+``sweep_digests.json`` was recorded from an incremental S_n sweep, since
+replaced by the cluster route.  Each entry pins the orbit of each pattern
+of S_m, numbered in lex order of the orbits' first patterns, and one count
+row per orbit and text length n = m..n_max: row[c-1] is the number of
+texts of S_n with at least c occurrences.  The rows are rebuilt here from
+``occurrence_histogram``, at the benchmark's horizons for m = 3..6 (those
+with n_max >= m), at m = 7 with n_max 8, 9 and 10, at n_max = m for
+m = 2..7, and at (2, 8).  A wrong count that splits no class leaves the
+class digests alone but moves a row digest.
 
 Re-record both files with
 
@@ -23,11 +26,12 @@ only when the classes are meant to change, which for exact evidence is never.
 import hashlib
 import json
 import sys
+from itertools import permutations
 from pathlib import Path
 
 import pytest
 
-from clusterext.patterns import _sweep, evidence_classes
+from clusterext.patterns import evidence_classes, occurrence_histogram, symmetry_class
 
 DIGEST_FILE = Path(__file__).with_name("classify_digests.json")
 SWEEP_DIGEST_FILE = Path(__file__).with_name("sweep_digests.json")
@@ -35,7 +39,6 @@ HORIZONS = ((1, (6, 7, 8)), (2, (6, 7, 8)), (3, (6, 7, 8)), (4, (6, 7, 8)),
             (5, (6, 7, 8)), (6, (5, 6, 7)), (7, (8, 9)))
 CASES = [(m, n_max, strong) for m, horizons in HORIZONS for n_max in horizons
          for strong in (True, False)]
-# a horizon below m needs no sweep: evidence_classes answers it without one
 SWEEPS = ([(m, n_max) for m, horizons in HORIZONS[2:6] + ((7, (8, 9, 10)),)
            for n_max in horizons if n_max > m]
           + [(m, m) for m in range(2, 8)] + [(2, 8)])
@@ -54,8 +57,19 @@ def classes_digest(m, n_max, strong):
 
 
 def sweep_digest(m, n_max):
-    """SHA-256 of the JSON of the sweep's orbit map and count rows."""
-    text = json.dumps(_sweep(m, n_max))
+    """SHA-256 of the JSON of the orbit map and the at-least-c count rows."""
+    firsts = {}  # the first pattern of each orbit, in lex order
+    orbit = [firsts.setdefault(min(symmetry_class(p)), len(firsts))
+             for p in permutations(range(1, m + 1))]
+    levels = []
+    for n in range(m, n_max + 1):
+        rows = []
+        for p in firsts:
+            counts = occurrence_histogram(p, n).counts
+            rows.append([sum(v for k, v in counts.items() if k >= c)
+                         for c in range(1, max(counts) + 1)])
+        levels.append(rows)
+    text = json.dumps([orbit, levels])
     return hashlib.sha256(text.encode()).hexdigest()
 
 

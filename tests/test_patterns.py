@@ -11,7 +11,10 @@ from hypothesis import strategies as st
 
 from clusterext import patterns
 from clusterext.errors import InvalidInputError, ResourceLimitError
-from oracle import _histograms_for_length, evidence_classes_by_pattern
+from clusterext.exact_counts import exact_count
+from clusterext.posets import ClusterParams
+from oracle import (_histograms_for_length, cluster_numbers_by_texts,
+                    evidence_classes_by_pattern)
 
 
 def test_standardize_examples():
@@ -210,50 +213,30 @@ def test_short_horizons_give_one_class_in_lex_order(strong):
         assert patterns.evidence_classes(7, n_max, strong) == [s7]
 
 
-@pytest.mark.parametrize("m", range(2, 7))
-def test_window_tables_match_their_definitions(m):
-    s_m, tails = list(permutations(range(1, m + 1))), list(permutations(range(1, m)))
-    lex, suffix, rev = patterns._window_tables(m)
-    assert sorted(lex) == list(range(len(s_m)))
-    for w, x in enumerate(lex):
-        p, (s, j) = s_m[x], divmod(w, m)
-        assert patterns._rank(p) == x
-        assert p[-1] == j + 1 and patterns.standardize(p[:-1]) == tails[s]
-        assert tails[suffix[w]] == patterns.standardize(p[1:])
-        assert s_m[rev[x]] == p[::-1]
-
-
 def test_orbit_histograms_are_shared_but_cannot_leak():
     p, n = (1, 3, 4, 2), 6
     orbit = patterns.symmetry_class(p)
     assert len(orbit) == 4
     want = _histograms_for_length(4, n)[p]
-    patterns._sweep.cache_clear()
-    # the sweep stores one row per orbit, which all of its patterns read
-    ids, levels = patterns._sweep(4, n)
-    assert len({ids[patterns._rank(q)] for q in orbit}) == 1
-    assert len(levels[-1]) == 8  # S_4: four orbits of four, four of two (pRC = p)
     hist = patterns.occurrence_histogram(p, n)
     hist.counts.clear()
     hist.counts[0] = -1
     for q in orbit:
         assert patterns.occurrence_histogram(q, n).counts == want, q
-    assert patterns._sweep.cache_info().misses == 1  # the same cached sweep
 
 
 def test_sweep_frees_its_tables_without_the_cycle_collector():
     # a table left in a reference cycle waits for a full collection, so
-    # in-process callers of cli.run would hold every cleared sweep's tables
+    # in-process callers of cli.run would hold every request's tables
     # (a self-referencing closure once did, and it read as peak RSS)
     enabled = gc.isenabled()
-    patterns._sweep.cache_clear()
     gc.collect()
     gc.disable()
     try:
-        patterns._sweep.__wrapped__(5, 7)
-        patterns._sweep(6, 7)
-        patterns._sweep(5, 8)
         patterns.evidence_classes(6, 7)
+        patterns.evidence_classes(5, 8, strong=False)
+        for p in permutations(range(1, 6)):
+            patterns.occurrence_histogram(p, 8)
         assert gc.collect() == 0
     finally:
         if enabled:
@@ -309,12 +292,12 @@ def test_evidence_classes_resource_guard():
         patterns.evidence_classes(8, 5)
 
 
-def _no_tables(*args):
-    raise AssertionError("the sweep built its S_m tables")
+def _no_walk(*args):
+    raise AssertionError("the cluster walk started")
 
 
 def test_long_pattern_sweeps_are_refused_before_any_table(monkeypatch):
-    monkeypatch.setattr(patterns, "_permutations", _no_tables)
+    monkeypatch.setattr(patterns, "_clusters", _no_walk)
     m = patterns.MAX_CLASSIFY_LENGTH + 1
     p, q = tuple(range(1, m + 1)), tuple(range(m, 0, -1))
     with pytest.raises(ResourceLimitError):
@@ -333,15 +316,31 @@ ORACLE_CASES = [(m, 8) for m in range(1, 6)] + [(6, 7)]
 @pytest.mark.parametrize("m,n_top", ORACLE_CASES)
 def test_sweep_matches_brute_force(m, n_top):
     for p in permutations(range(1, m + 1)):
-        # every level of the n_top sweep, n = m..n_top
-        rows = patterns._orbit_rows(p, n_top)
-        assert len(rows) == n_top - m + 1
-        for n, row in enumerate(rows, start=m):
-            assert patterns._histogram(row, n) == _histograms_for_length(m, n)[p], (p, n)
         for n in range(1, n_top + 1):
-            # a shorter horizon is a fresh sweep that stops at depth n
             want = _histograms_for_length(m, n)[p]
             assert patterns.occurrence_histogram(p, n).counts == want, (p, n)
+
+
+@pytest.mark.parametrize("m", range(1, 5))
+def test_cluster_numbers_match_the_texts(m):
+    for p in permutations(range(1, m + 1)):
+        r = patterns._clusters(p, 7)
+        for L in range(m, 8):
+            want = cluster_numbers_by_texts(p, L)
+            assert {k: v for (n, k), v in r.items() if n == L} == want, (p, L)
+
+
+@pytest.mark.parametrize("m", range(2, 7))
+def test_longest_clusters_are_glued_chains(m):
+    # k windows that share only their end entries make the longest
+    # k-cluster, whose poset glues the p_m-th entry of each chain to the
+    # p_1-th of the next: the glued-chain poset that exact_count counts
+    for p in permutations(range(1, m + 1)):
+        a, b = sorted((p[0], p[-1]))
+        r = patterns._clusters(p, 3 * (m - 1) + 1)
+        for k in (1, 2, 3):
+            want = exact_count(ClusterParams(m, a, b, k), "p")
+            assert r[(m - 1) * k + 1, k] == want, (p, k)
 
 
 # (m, n) with m <= n: 12...m fills every window of 12...n, and so does its reverse
@@ -351,28 +350,26 @@ TOP_SLOT_CASES = [(m, n) for m in range(2, 7) for n in range(m, 10)] + [(7, 10)]
 @pytest.mark.parametrize("m,n", TOP_SLOT_CASES)
 def test_most_occurrences_land_in_their_own_slot(m, n):
     # only 12...n holds n - m + 1 copies of 12...m, the most any text can
-    # hold: the sweep's flat tallies must keep that count apart from the
-    # next orbit row's slots
+    # hold: the longest clusters of a shift-1 pattern must reach that count
     for p in (tuple(range(1, m + 1)), tuple(range(m, 0, -1))):
         counts = patterns.occurrence_histogram(p, n).counts
         assert max(counts) == n - m + 1 and counts[n - m + 1] == 1, p
 
 
-# one sweep per m at the longest horizon, and m = 7 also at n_max = 9
+# every m at the longest horizon, and m = 7 also at n_max = 9
 ROW_SUM_CASES = [(m, patterns.MAX_TEXT_LENGTH) for m in range(2, 7)] + [(7, 9), (7, 10)]
 
 
 @pytest.mark.parametrize("m,n_max", ROW_SUM_CASES)
 def test_every_sweep_row_sums_to_the_expected_occurrences(m, n_max):
     # every window is uniform over S_m, so the occurrences of one pattern
-    # summed over S_n number (n - m + 1) n!/m!; row[c-1] counts the texts
-    # with at least c of them, so the row sums to that number
-    orbit, levels = patterns._sweep(m, n_max)
-    assert len(levels) == n_max - m + 1
-    for n, rows in enumerate(levels, start=m):
-        assert len(rows) == max(orbit) + 1
-        for o, row in enumerate(rows):
-            assert math.factorial(m) * sum(row) == (n - m + 1) * math.factorial(n), (n, o)
+    # summed over S_n number (n - m + 1) n!/m!
+    for p in permutations(range(1, m + 1)):
+        for n in range(m, n_max + 1):
+            counts = patterns.occurrence_histogram(p, n).counts
+            assert sum(counts.values()) == math.factorial(n), (p, n)
+            assert (math.factorial(m) * sum(k * v for k, v in counts.items())
+                    == (n - m + 1) * math.factorial(n)), (p, n)
 
 
 def test_single_entry_pattern_occurs_everywhere():
