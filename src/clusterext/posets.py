@@ -6,9 +6,10 @@ first and last chain with short boundary chains so that every glue element
 carries the same weight profile.  Both are ordinary finite posets; the
 brute-force counter below works for any poset of at most 24 elements; it is
 the independent oracle for the integral-based counts in
-:mod:`clusterext.exact_counts`, and counts the cluster posets of
-:mod:`clusterext.patterns`.  This module is the bottom layer: it imports
-nothing from the package but its exceptions.
+:mod:`clusterext.exact_counts`, and its order-ideal DP, ``_count_ideals``,
+also counts the cluster posets of :mod:`clusterext.patterns` from one
+bitmask per element.  This module is the bottom layer: it imports nothing
+from the package but its exceptions.
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ class FinitePoset:
     lazily as bitmask up-sets.
     """
 
-    __slots__ = ("labels", "covers", "_index", "__dict__")
+    __slots__ = ("labels", "covers", "_index", "_order", "__dict__")
 
     def __init__(self, labels: Sequence[str], covers: Iterable[Tuple[int, int]]):
         self.labels: Tuple[str, ...] = tuple(labels)
@@ -94,7 +95,25 @@ class FinitePoset:
             cov.add((x, y))
         self.covers: Tuple[Tuple[int, int], ...] = tuple(sorted(cov))
         self._index: Dict[str, int] = {lab: i for i, lab in enumerate(self.labels)}
-        self.topological_order()  # raises on cycles
+        # Kahn's algorithm, smallest index first; it also rejects cycles
+        import heapq
+
+        indeg = [0] * n
+        for _, y in self.covers:
+            indeg[y] += 1
+        heap = [i for i in range(n) if indeg[i] == 0]
+        heapq.heapify(heap)
+        order: List[int] = []
+        while heap:
+            x = heapq.heappop(heap)
+            order.append(x)
+            for y in self._children[x]:
+                indeg[y] -= 1
+                if indeg[y] == 0:
+                    heapq.heappush(heap, y)
+        if len(order) != n:
+            raise InvalidInputError("cover relations contain a cycle")
+        self._order: Tuple[int, ...] = tuple(order)
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -114,32 +133,14 @@ class FinitePoset:
 
     def topological_order(self) -> Tuple[int, ...]:
         """Deterministic linear extension: Kahn's algorithm, smallest index first."""
-        import heapq
-
-        n = len(self.labels)
-        indeg = [0] * n
-        for _, y in self.covers:
-            indeg[y] += 1
-        heap = [i for i in range(n) if indeg[i] == 0]
-        heapq.heapify(heap)
-        out: List[int] = []
-        while heap:
-            x = heapq.heappop(heap)
-            out.append(x)
-            for y in self._children[x]:
-                indeg[y] -= 1
-                if indeg[y] == 0:
-                    heapq.heappush(heap, y)
-        if len(out) != n:
-            raise InvalidInputError("cover relations contain a cycle")
-        return tuple(out)
+        return self._order
 
     @cached_property
     def strict_upsets(self) -> Tuple[int, ...]:
         """Bitmask of the elements strictly above each element."""
         n = len(self.labels)
         up = [0] * n
-        for x in reversed(self.topological_order()):
+        for x in reversed(self._order):
             acc = 0
             for y in self._children[x]:
                 acc |= (1 << y) | up[y]
@@ -221,6 +222,25 @@ def glue_labels(params: ClusterParams) -> List[str]:
                                    for i in range(1, params.n + 1)]
 
 
+def _count_ideals(up: Sequence[int], mask: int, memo: Dict[int, int]) -> int:
+    """Linear extensions of the order ideal ``mask``, memoized in ``memo`` on
+    the ideal bitmask (start it as {0: 1}).  ``up[x]`` masks elements above
+    x, every cover of x among them, so x is maximal in an ideal exactly
+    when ``up[x]`` misses it."""
+    cached = memo.get(mask)
+    if cached is not None:
+        return cached
+    total = 0
+    mm = mask
+    while mm:
+        low = mm & -mm
+        mm ^= low
+        if up[low.bit_length() - 1] & mask == 0:  # maximal in the ideal
+            total += _count_ideals(up, mask ^ low, memo)
+    memo[mask] = total
+    return total
+
+
 def count_linear_extensions_bruteforce(poset: FinitePoset) -> int:
     """Exact number of linear extensions via dynamic programming over down-sets.
 
@@ -229,29 +249,7 @@ def count_linear_extensions_bruteforce(poset: FinitePoset) -> int:
     """
     n = len(poset)
     require_at_most("brute-force poset size", n, MAX_BRUTEFORCE_ELEMENTS)
-    if n == 0:
-        return 1
-    up = poset.strict_upsets
-    memo: Dict[int, int] = {0: 1}
-
-    def count(mask: int) -> int:
-        cached = memo.get(mask)
-        if cached is not None:
-            return cached
-        total = 0
-        mm = mask
-        while mm:
-            low = mm & -mm
-            mm ^= low
-            x = low.bit_length() - 1
-            if up[x] & mask == 0:  # x is maximal in the ideal
-                total += count(mask ^ low)
-        memo[mask] = total
-        return total
-
-    total = count((1 << n) - 1)
-    del count  # it refers to itself: free the memo now, not at a full gc
-    return total
+    return _count_ideals(poset.strict_upsets, (1 << n) - 1, {0: 1})
 
 
 _DOT_ID = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")

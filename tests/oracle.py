@@ -12,6 +12,10 @@
   all m! patterns per text.
 * ``cluster_numbers_by_texts``: the cluster numbers r_(L,k) counted on the
   texts of S_L, with no cluster poset and no linear extension.
+* ``cluster_numbers_by_posets``: the same numbers from a walk that builds a
+  :class:`clusterext.posets.FinitePoset` per shift sequence and counts it
+  with ``count_linear_extensions_bruteforce``; ``patterns._clusters``
+  carries the posets' upset bitmasks on its stack instead.
 * ``evidence_classes_by_pattern``: S_m partitioned by those histograms with
   every pattern keyed on its own, the loop that
   :func:`clusterext.patterns.evidence_classes` replaced by one key per
@@ -34,7 +38,7 @@ import numpy as np
 from clusterext import sampling
 from clusterext.errors import InvalidInputError, require_at_most
 from clusterext.patterns import MAX_TEXT_LENGTH, Pattern
-from clusterext.posets import FinitePoset
+from clusterext.posets import FinitePoset, count_linear_extensions_bruteforce
 
 
 class RationalPoly:
@@ -188,6 +192,35 @@ def cluster_numbers_by_texts(p: Pattern, L: int) -> Dict[int, int]:
             ways[i] = here
         for k, w in ways.get(L - m, {}).items():
             r[k] = r.get(k, 0) + w
+    return r
+
+
+def cluster_numbers_by_posets(p: Pattern, longest: int) -> Dict[Tuple[int, int], int]:
+    """Cluster numbers r_(L,k) of ``p`` for every length L <= ``longest``.
+
+    The k windows of a cluster start at 0 = i_1 < ... < i_k = L - m, each
+    step i_(j+1) - i_j a self-overlap shift of p; its texts are the linear
+    extensions of the L positions ordered by p's values within each window.
+    """
+    m = len(p)
+    order = sorted(range(m), key=p.__getitem__)  # one window's chain
+    # st(p[s:]) = st(p[:m-s]) when both ends list their positions alike
+    shifts = [s for s in range(1, min(m, longest - m + 1))
+              if [i - s for i in order if i >= s] == [i for i in order if i < m - s]]
+    links = list(zip(order, order[1:]))
+    r = {(m, 1): 1}  # a single window is a chain
+    stack = [(m, 1, links)]  # length, windows and covers of a shift sequence
+    while stack:
+        n, k, covers = stack.pop()
+        for s in shifts:
+            if n + s > longest:
+                break
+            start = n + s - m  # the first position of the new window
+            step = covers + [(x + start, y + start) for x, y in links]
+            key = (n + s, k + 1)
+            r[key] = r.get(key, 0) + count_linear_extensions_bruteforce(
+                FinitePoset([str(i) for i in range(n + s)], step))
+            stack.append((n + s, k + 1, step))
     return r
 
 

@@ -9,12 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clusterext import patterns
+from clusterext import patterns, posets
 from clusterext.errors import InvalidInputError, ResourceLimitError
 from clusterext.exact_counts import exact_count
 from clusterext.posets import ClusterParams
-from oracle import (_histograms_for_length, cluster_numbers_by_texts,
-                    evidence_classes_by_pattern)
+from oracle import (_histograms_for_length, cluster_numbers_by_posets,
+                    cluster_numbers_by_texts, evidence_classes_by_pattern)
 
 
 def test_standardize_examples():
@@ -328,6 +328,27 @@ def test_cluster_numbers_match_the_texts(m):
         for L in range(m, 8):
             want = cluster_numbers_by_texts(p, L)
             assert {k: v for (n, k), v in r.items() if n == L} == want, (p, L)
+
+
+@pytest.mark.parametrize("m", range(1, patterns.MAX_CLASSIFY_LENGTH + 1))
+def test_cluster_walk_matches_the_poset_walk(m):
+    # every (p, longest) the caps admit
+    for p in permutations(range(1, m + 1)):
+        for longest in range(1, patterns.MAX_TEXT_LENGTH + 1):
+            want = cluster_numbers_by_posets(p, longest)
+            assert patterns._clusters(p, longest) == want, (p, longest)
+
+
+def _no_poset(*args, **kwargs):
+    raise AssertionError("a FinitePoset was built")
+
+
+def test_cluster_walk_builds_no_poset(monkeypatch):
+    classes = patterns.evidence_classes(5, 8)
+    hist = patterns.occurrence_histogram((1, 2, 3), 10)
+    monkeypatch.setattr(posets.FinitePoset, "__init__", _no_poset)
+    assert patterns.evidence_classes(5, 8) == classes
+    assert patterns.occurrence_histogram((1, 2, 3), 10) == hist
 
 
 @pytest.mark.parametrize("m", range(2, 7))

@@ -7,6 +7,8 @@ import pickle
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clusterext import posets
 from clusterext.errors import (DomainError, InternalConsistencyError,
@@ -15,6 +17,7 @@ from clusterext.exact_counts import sandwich_check
 from clusterext.posets import (ClusterParams, FinitePoset, cluster_poset,
                                count_linear_extensions_bruteforce, glue_labels,
                                modified_cluster_poset, poset_to_dot)
+from oracle import enumerate_linear_extensions
 
 
 def chain(k):
@@ -192,6 +195,27 @@ def test_bruteforce_frees_its_memo_without_the_cycle_collector():
     finally:
         if enabled:
             gc.enable()
+
+
+@st.composite
+def dags(draw):
+    # relations x -> y between ranks x < y, then the elements relabelled, so
+    # a relation may run from a larger index to a smaller one
+    n = draw(st.integers(0, 8))
+    pairs = [(x, y) for x in range(n) for y in range(x + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    name = draw(st.permutations(range(n)))
+    return FinitePoset([f"e{i}" for i in range(n)],
+                       [(name[x], name[y]) for (x, y), k in zip(pairs, keep) if k])
+
+
+@settings(max_examples=80, deadline=None)
+@given(poset=dags())
+def test_bruteforce_counts_every_extension(poset):
+    exts = enumerate_linear_extensions(poset)
+    assert count_linear_extensions_bruteforce(poset) == len(exts)
+    # Kahn's order, smallest index first, is the least extension
+    assert poset.topological_order() == exts[0]
 
 
 def test_bruteforce_resource_limit():
