@@ -110,7 +110,10 @@ def test_nonoverlapping_fraction_range_errors():
 
 @pytest.mark.slow
 def test_nonoverlapping_fraction_limit_diagnostic():
-    assert abs(patterns.nonoverlapping_fraction(10) - 0.36409) < 0.02
+    # exact counts, recorded by enumeration with the standardize-based
+    # predicate; the fraction tends to about 0.36409
+    for m, count in ((9, 132_276), (10, 1_323_504)):
+        assert patterns.nonoverlapping_fraction(m) == count / math.factorial(m), m
 
 
 def test_occurrence_histogram_examples():
