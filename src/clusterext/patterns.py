@@ -31,9 +31,9 @@ numbers, once per reverse/complement orbit.
 The cost follows the number of shift sequences of total at most n_max - m,
 each one poset of at most n_max elements: about 2^(n_max - m) for a
 pattern with shift 1, and a few for most patterns, whose shortest shift is
-near m.  On one core of a 2-vCPU AMD EPYC VM (Python 3.11)
+near m.  On one core of a 2-vCPU Xeon VM (Python 3.11)
 ``classify --m 7 --n-max 10``, the largest request the caps allow, takes
-7 ms in-process, and each histogram at n = 10 at most 0.3 ms.
+16 ms in-process, and each histogram at n = 10 at most 0.5 ms.
 
 Equivalence results obtained here are evidence up to a stated text length,
 never proofs.
@@ -55,7 +55,7 @@ Pattern = Tuple[int, ...]
 #: of 12345 takes 0.12 ms at n = 10 and 14 ms at n = 16 on one core of a
 #: 2-vCPU AMD EPYC VM.
 MAX_TEXT_LENGTH = 10
-#: Largest pattern length for the m! non-overlap census.
+#: Largest pattern length for the m! non-overlap census: 6.4 min at the cap.
 MAX_CENSUS_LENGTH = 11
 #: Largest pattern length for whole-S_m classification, and for any
 #: histogram that reaches a text of length m.  On the VM above,
@@ -83,6 +83,12 @@ def standardize(word: Sequence[int]) -> Pattern:
     return tuple(ranks)
 
 
+def _alike(x: Sequence[int], y: Sequence[int]) -> bool:
+    """st(x) = st(y): the distinct entries of both sit alike in value order."""
+    return (sorted(range(len(x)), key=x.__getitem__)
+            == sorted(range(len(y)), key=y.__getitem__))
+
+
 def as_pattern(word: Sequence[int]) -> Pattern:
     """Validate that ``word`` is a permutation of 1..m and return it as a tuple."""
     p = tuple(word)
@@ -104,7 +110,7 @@ def occurrences(pattern: Sequence[int], text: Sequence[int]) -> List[int]:
     p = as_pattern(pattern)
     t = as_pattern(text)
     m, n = len(p), len(t)
-    return [i + 1 for i in range(n - m + 1) if standardize(t[i:i + m]) == p]
+    return [i + 1 for i in range(n - m + 1) if _alike(t[i:i + m], p)]
 
 
 def reverse(pattern: Sequence[int]) -> Pattern:
@@ -146,18 +152,15 @@ def is_nonoverlapping(pattern: Sequence[int]) -> bool:
     m = len(p)
     if m < 2:
         raise InvalidInputError("non-overlap is defined for length >= 2")
-    for i in range(2, m):
-        if standardize(p[:i]) == standardize(p[m - i:]):
-            return False
-    return True
+    return not any(_alike(p[:i], p[m - i:]) for i in range(2, m))
 
 
 def nonoverlapping_fraction(m: int) -> float:
     """Fraction of non-overlapping permutations in S_m (full enumeration).
 
     Each step in m costs about m times more.  On one core of a 2-vCPU Xeon
-    VM (Python 3.11) it took 0.05 s at m = 7, 0.43 s at m = 8 and 4.1 s at
-    m = 9, so several minutes (about 7 by extrapolation) at the cap
+    VM (Python 3.11) it took 0.03 s at m = 7, 0.26 s at m = 8, 2.7 s at
+    m = 9, 30 s at m = 10 and 6.4 minutes at the cap
     ``MAX_CENSUS_LENGTH`` = 11.
     """
     require_int("pattern length", m, 2)
@@ -194,10 +197,7 @@ def _clusters(p: Pattern, longest: int) -> Dict[Tuple[int, int], int]:
     DP needs no more.
     """
     m = len(p)
-    order = sorted(range(m), key=p.__getitem__)  # one window's chain
-    # st(p[s:]) = st(p[:m-s]) when both ends list their positions alike
-    shifts = [s for s in range(1, min(m, longest - m + 1))
-              if [i - s for i in order if i >= s] == [i for i in order if i < m - s]]
+    shifts = [s for s in range(1, min(m, longest - m + 1)) if _alike(p[s:], p[:m - s])]
     r = {(m, 1): 1}  # a single window is a chain
     if not shifts:
         return r

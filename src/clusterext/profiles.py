@@ -12,9 +12,9 @@ density at the profile's value, taken in log space so that it cannot overflow:
 with B the full beta value of the shape parameters; it is positive on (0,1),
 unimodal, and least where the weight density peaks.
 
-One private kernel over a checked shape (alpha, beta, log B), ``_cdf``,
-``_log_density``, ``_invert`` and ``_slope``, serves them all: log B is
-computed once per public call, and once per ``profile_table``.
+One private kernel over the checked shape (alpha, beta, log B) of ``_kernel``,
+``_cdf``, ``_log_density``, ``_invert`` and ``_slope``, serves them all: log B
+is computed once per public call, and once per ``profile_table``.
 
 The same construction solves the general problem: given any positive weight
 h on [0,1] and exponent beta >= 0, the map j with h(j(t)) j'(t)^(beta+1)
@@ -106,21 +106,23 @@ def regularized_incomplete_beta(alpha: float, beta: float, x: float) -> float:
     return _cdf(alpha, beta, log_beta(alpha, beta), x)
 
 
-def _shape(m: int, a: int, b: int) -> Tuple[float, float]:
-    return ClusterParams(m, a, b, 1).shape
+def _kernel(m: int, a: int, b: int) -> Tuple[float, float, float]:
+    """The kernel's (alpha, beta, log_b) for a checked shape ``ClusterParams.shape``."""
+    alpha, beta = ClusterParams(m, a, b, 1).shape
+    return alpha, beta, log_beta(alpha, beta)
 
 
 def _checked(m: int, a: int, b: int, t: float) -> Tuple[float, float, float]:
-    """The kernel's (alpha, beta, log_b), once the shape and t in [0, 1] are checked."""
-    alpha, beta = _shape(m, a, b)
+    """``_kernel(m, a, b)``, once t in [0, 1] is checked as well."""
+    kernel = _kernel(m, a, b)
     if not 0.0 <= t <= 1.0:
         raise DomainError(f"t must lie in [0, 1], got {t}")
-    return alpha, beta, log_beta(alpha, beta)
+    return kernel
 
 
 def beta_value(m: int, a: int, b: int) -> float:
     """The full beta value B(alpha, beta) at the weight shape ``ClusterParams.shape``."""
-    return math.exp(log_beta(*_shape(m, a, b)))
+    return math.exp(_kernel(m, a, b)[2])
 
 
 def weight_cdf(m: int, a: int, b: int, t: float) -> float:
@@ -202,11 +204,11 @@ def slope_argmin(m: int, a: int, b: int) -> float:
     For a = 1 and b = m simultaneously the slope is constant and the argmin
     is undefined; that corner raises DegenerateParameterError.
     """
-    alpha, beta = _shape(m, a, b)
+    kernel = _kernel(m, a, b)
     if a == 1 and b == m:
         raise DegenerateParameterError(
             "slope is constant for a = 1, b = m; no interior minimum")
-    return _cdf(alpha, beta, log_beta(alpha, beta), _density_peak(m, a, b))
+    return _cdf(*kernel, _density_peak(m, a, b))
 
 
 class ProfileTable(NamedTuple):
@@ -230,14 +232,13 @@ def profile_table(m: int, a: int, b: int, grid_size: int = 1000) -> ProfileTable
     """Tabulate the limit profile and its slope on grid_size + 1 points.
 
     A grid_size above MAX_PROFILE_POINTS raises ResourceLimitError before
-    any point is evaluated, once the shape and grid_size are valid.
+    any point is evaluated, once the shape, its log B and grid_size are valid.
     """
     require_int("grid_size", grid_size, 2)
-    alpha, beta = _shape(m, a, b)
+    alpha, beta, log_b = _kernel(m, a, b)
     require_at_most("grid_size", grid_size, MAX_PROFILE_POINTS)
     import numpy as np
 
-    log_b = log_beta(alpha, beta)
     grid = np.linspace(0.0, 1.0, grid_size + 1)
     values = np.array([_invert(alpha, beta, log_b, t) for t in grid])
     slopes = np.array([_slope(alpha, beta, log_b, t) for t in grid])
@@ -318,8 +319,7 @@ def profile_increment_bounds(m: int, a: int, b: int,
     two points with y_1 - y_0 small.)  The comparison runs in log space
     (the products underflow for long sequences) with a slack of 1e-9.
     """
-    alpha, beta = _shape(m, a, b)
-    log_b = log_beta(alpha, beta)
+    alpha, beta, log_b = _kernel(m, a, b)
     log_min_slope = -_log_density(alpha, beta, log_b, _density_peak(m, a, b))
     for seq in sequences:
         y = [float(v) for v in seq]

@@ -239,19 +239,23 @@ def test_profile_of_large_balanced_shapes(m, a, b):
 
 
 # m = 10^k with b = 2 puts log_beta (k = 306) or the Beta shape (k >= 309)
-# beyond the float range; with b = m, the growth constant's own terms
+# beyond the float range; with b = m, the growth constant's own terms.  A
+# grid over its cap as well is still a malformed request first (exit 2).
 HUGE_REST = {"constant": (), "fit": ("--n-max", "3"), "profile": ("--points", "4")}
-HUGE_REQUESTS = ([(command, k, "2") for command in HUGE_REST for k in (306, 309, 400)]
-                 + [(command, k, "m") for command in ("constant", "fit")
-                    for k in (309, 400)])
+HUGE_REQUESTS = ([(command, k, "2", HUGE_REST[command]) for command in HUGE_REST
+                  for k in (306, 309, 400)]
+                 + [(command, k, "m", HUGE_REST[command]) for command in ("constant", "fit")
+                    for k in (309, 400)]
+                 + [("profile", 306, "2", ("--points", "1000001"))])
+HUGE_IDS = [f"{c}-m=1e{k}-b={b}" + ("" if rest == HUGE_REST[c] else "-over-cap")
+            for c, k, b, rest in HUGE_REQUESTS]
 
 
-@pytest.mark.parametrize("command, k, b", HUGE_REQUESTS,
-                         ids=[f"{c}-m=1e{k}-b={b}" for c, k, b in HUGE_REQUESTS])
-def test_shapes_beyond_the_float_range_exit_2(capsys, command, k, b):
+@pytest.mark.parametrize("command, k, b, rest", HUGE_REQUESTS, ids=HUGE_IDS)
+def test_shapes_beyond_the_float_range_exit_2(capsys, command, k, b, rest):
     m = str(10 ** k)
     status, out = run_cli(command, "--m", m, "--a", "1", "--b", m if b == "m" else b,
-                          *HUGE_REST[command])
+                          *rest)
     err = capsys.readouterr().err
     assert (status, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1

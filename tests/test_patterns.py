@@ -32,6 +32,24 @@ def test_standardize_idempotent():
         assert patterns.standardize(once) == once
 
 
+def test_alike_is_equal_standardization_on_every_small_pair():
+    std = patterns.standardize
+    words = [p for m in range(1, 6) for p in permutations(range(1, m + 1))]
+    for x in words:
+        for y in words:
+            assert patterns._alike(x, y) == (std(x) == std(y)), (x, y)
+
+
+@given(st.lists(st.integers(), min_size=1, max_size=12, unique=True),
+       st.lists(st.integers(), min_size=1, max_size=12, unique=True))
+def test_alike_is_equal_standardization(x, y):
+    # an order-preserving relabelling of x is alike; an independent y rarely
+    std = patterns.standardize
+    z = [3 * v ** 3 - 7 for v in x]
+    assert patterns._alike(x, z)
+    assert patterns._alike(x, y) == (std(x) == std(y))
+
+
 def test_standardize_rejects_duplicates():
     with pytest.raises(InvalidInputError):
         patterns.standardize((3, 3, 1))
@@ -98,6 +116,7 @@ def test_nonoverlapping_fraction_small():
     assert patterns.nonoverlapping_fraction(5) == pytest.approx(Fraction(48, 120))
     assert patterns.nonoverlapping_fraction(6) == pytest.approx(Fraction(280, 720))
     assert patterns.nonoverlapping_fraction(7) == pytest.approx(Fraction(1864, 5040))
+    assert patterns.nonoverlapping_fraction(8) == pytest.approx(Fraction(14840, 40320))
 
 
 def test_nonoverlapping_fraction_range_errors():
@@ -352,6 +371,23 @@ def test_cluster_walk_builds_no_poset(monkeypatch):
     monkeypatch.setattr(posets.FinitePoset, "__init__", _no_poset)
     assert patterns.evidence_classes(5, 8) == classes
     assert patterns.occurrence_histogram((1, 2, 3), 10) == hist
+
+
+def _no_standardize(*args, **kwargs):
+    raise AssertionError("standardize was called")
+
+
+def test_pattern_questions_never_standardize(monkeypatch):
+    hist = patterns.occurrence_histogram((1, 3, 2), 8)
+    classes = patterns.evidence_classes(5, 8)
+    monkeypatch.setattr(patterns, "standardize", _no_standardize)
+    assert patterns.occurrences((1, 3, 2), (1, 4, 2, 5, 3)) == [1, 3]
+    assert patterns.occurrences((1, 2, 3), (1, 2, 3, 4)) == [1, 2]
+    assert not patterns.is_nonoverlapping((1, 2, 3))
+    assert patterns.is_nonoverlapping((1, 3, 4, 2))
+    assert patterns.nonoverlapping_fraction(6) == 280 / 720
+    assert patterns.occurrence_histogram((1, 3, 2), 8) == hist
+    assert patterns.evidence_classes(5, 8) == classes
 
 
 @pytest.mark.parametrize("m", range(2, 7))
