@@ -42,35 +42,34 @@ def log_beta(alpha: float, beta: float) -> float:
         raise DomainError(f"log_beta({alpha}, {beta}) is beyond the float range") from None
 
 
-def _trigamma_sum(x: float, rest: bool) -> float:
-    """trigamma(x), or with ``rest`` trigamma(x) - 1/x, from the shift to
-    x >= 10 and the asymptotic tail.  The rest shifts by the terms
-    1/(x^2 (x+1)) = 1/x^2 - (1/x - 1/(x+1)), which telescope, so it is
-    summed without a subtraction."""
+def _trigamma_rest(x: float) -> float:
+    """R(x) = trigamma(x) - 1/x, from the shift to x >= 10 and the asymptotic
+    tail.  R shifts by the terms 1/(x^2 (x+1)) = 1/x^2 - (1/x - 1/(x+1)),
+    which telescope, so every term is positive and nothing cancels."""
     acc = 0.0
     while x < 10.0:
-        acc += 1.0 / (x * x * (x + 1.0)) if rest else 1.0 / (x * x)
+        acc += 1.0 / (x * x * (x + 1.0))
         x += 1.0
     inv = 1.0 / x
     inv2 = inv * inv
     tail = 0.0
     for coeff in reversed(_TRIGAMMA_TAIL):
         tail = tail * inv2 + coeff
-    return acc + (0.0 if rest else inv) + 0.5 * inv2 + tail * inv2 * inv
+    return acc + 0.5 * inv2 + tail * inv2 * inv
 
 
 def trigamma(x: float) -> float:
     """Sum of 1/(x+k)^2 over k >= 0, for x > 0.
 
-    Uses the recurrence to shift the argument above 10, then the asymptotic
-    tail 1/x + 1/(2x^2) + sum B_2k / x^(2k+1).  Where x^2 underflows to 0
-    the value is beyond the float range, and inf is returned.
+    Returns 1/x + R(x), with R shifted above 10 by the recurrence and then
+    read off the asymptotic tail 1/(2x^2) + sum B_2k / x^(2k+1).  Where x^2
+    underflows to 0 the value is beyond the float range, and inf is returned.
     """
     if not x > 0:
         raise DomainError(f"trigamma requires x > 0, got {x}")
     if x * x == 0.0:
         return math.inf
-    return _trigamma_sum(x, False)
+    return 1.0 / x + _trigamma_rest(x)
 
 
 class AsymptoticConstant(NamedTuple):
@@ -124,7 +123,7 @@ def constant_concavity(t: float, d: int) -> float:
         raise DomainError(f"need a finite t >= 0, got {t}")
     require_int("d", d, 2)
     return (-(d - 1) / (t + d) / (t + 1.0)
-            + _trigamma_sum(t / d + 1.0, True) / d - _trigamma_sum(t + 1.0, True))
+            + _trigamma_rest(t / d + 1.0) / d - _trigamma_rest(t + 1.0))
 
 
 def _check_gap_hypotheses(m: int, a: int, b: int, a2: int, b2: int) -> None:

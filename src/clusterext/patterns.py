@@ -243,7 +243,7 @@ def occurrence_histogram(pattern: Sequence[int], n: int) -> OccurrenceHistogram:
     require_at_most("text length", n, MAX_TEXT_LENGTH)
     if n < len(p):  # no text is long enough to hold p
         return OccurrenceHistogram(n, {0: math.factorial(n)})
-    require_at_most("swept pattern length", len(p), MAX_CLASSIFY_LENGTH)
+    require_at_most("classified pattern length", len(p), MAX_CLASSIFY_LENGTH)
     # c_L(u - 1) = sum_k r_(L,k) (u - 1)^k, as coefficients of u
     c: Dict[int, List[int]] = {}
     for (length, k), r in _clusters(p, n).items():
@@ -278,7 +278,7 @@ def cwilf_evidence(p: Sequence[int], q: Sequence[int], n_max: int,
     require_at_most("text length", n_max, MAX_TEXT_LENGTH)
     if n_max < len(pp):  # no text is long enough to hold either
         return True
-    require_at_most("swept pattern length", len(pp), MAX_CLASSIFY_LENGTH)
+    require_at_most("classified pattern length", len(pp), MAX_CLASSIFY_LENGTH)
     return _key(pp, n_max, strong) == _key(qq, n_max, strong)
 
 

@@ -72,12 +72,13 @@ class ClusterParams(namedtuple("ClusterParams", "m a b n")):
 class FinitePoset:
     """Immutable finite poset given by labeled elements and cover relations.
 
-    Covers are pairs of int element indices (x, y) meaning x is covered by y.
+    Covers are pairs of int element indices (x, y) meaning x is covered by y;
+    ``upper_covers[x]`` lists the y of every such pair, in increasing order.
     Construction validates acyclicity; the full order relation is derived
     lazily as bitmask up-sets.
     """
 
-    __slots__ = ("labels", "covers", "_index", "_order", "__dict__")
+    __slots__ = ("labels", "covers", "upper_covers", "_index", "_order", "__dict__")
 
     def __init__(self, labels: Sequence[str], covers: Iterable[Tuple[int, int]]):
         self.labels: Tuple[str, ...] = tuple(labels)
@@ -94,20 +95,23 @@ class FinitePoset:
                 raise InvalidInputError(f"self-loop at element {x}")
             cov.add((x, y))
         self.covers: Tuple[Tuple[int, int], ...] = tuple(sorted(cov))
+        above: List[List[int]] = [[] for _ in range(n)]
+        indeg = [0] * n
+        for x, y in self.covers:
+            above[x].append(y)
+            indeg[y] += 1
+        self.upper_covers: Tuple[Tuple[int, ...], ...] = tuple(map(tuple, above))
         self._index: Dict[str, int] = {lab: i for i, lab in enumerate(self.labels)}
         # Kahn's algorithm, smallest index first; it also rejects cycles
         import heapq
 
-        indeg = [0] * n
-        for _, y in self.covers:
-            indeg[y] += 1
         heap = [i for i in range(n) if indeg[i] == 0]
         heapq.heapify(heap)
         order: List[int] = []
         while heap:
             x = heapq.heappop(heap)
             order.append(x)
-            for y in self._children[x]:
+            for y in above[x]:
                 indeg[y] -= 1
                 if indeg[y] == 0:
                     heapq.heappush(heap, y)
@@ -124,13 +128,6 @@ class FinitePoset:
         except (KeyError, TypeError):
             raise InvalidInputError(f"unknown element label {label!r}") from None
 
-    @cached_property
-    def _children(self) -> Tuple[Tuple[int, ...], ...]:
-        adj: List[List[int]] = [[] for _ in self.labels]
-        for x, y in self.covers:
-            adj[x].append(y)
-        return tuple(tuple(a) for a in adj)
-
     def topological_order(self) -> Tuple[int, ...]:
         """Deterministic linear extension: Kahn's algorithm, smallest index first."""
         return self._order
@@ -142,7 +139,7 @@ class FinitePoset:
         up = [0] * n
         for x in reversed(self._order):
             acc = 0
-            for y in self._children[x]:
+            for y in self.upper_covers[x]:
                 acc |= (1 << y) | up[y]
             up[x] = acc
         return tuple(up)
@@ -154,15 +151,6 @@ class FinitePoset:
         if not (x < len(self.labels) and y < len(self.labels)):
             raise InvalidInputError(f"element pair ({x},{y}) out of range")
         return (self.strict_upsets[x] >> y) & 1 == 1
-
-    def less_matrix(self) -> List[bytes]:
-        """Row-major strict-order lookup table; row[x][y] == 1 iff x < y."""
-        n = len(self.labels)
-        rows = []
-        for x in range(n):
-            mask = self.strict_upsets[x]
-            rows.append(bytes((mask >> y) & 1 for y in range(n)))
-        return rows
 
 
 def _glued_chains(params: ClusterParams, padded: bool) -> FinitePoset:

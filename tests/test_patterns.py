@@ -314,6 +314,15 @@ def test_evidence_classes_resource_guard():
         patterns.evidence_classes(8, 5)
 
 
+def test_histogram_and_evidence_name_the_classify_cap():
+    p, q = tuple(range(1, 9)), tuple(range(8, 0, -1))
+    message = "^classified pattern length 8 exceeds the cap of 7$"
+    with pytest.raises(ResourceLimitError, match=message):
+        patterns.occurrence_histogram(p, 8)
+    with pytest.raises(ResourceLimitError, match=message):
+        patterns.cwilf_evidence(p, q, 8)
+
+
 def _no_walk(*args):
     raise AssertionError("the cluster walk started")
 

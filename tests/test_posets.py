@@ -7,7 +7,7 @@ import pickle
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from clusterext import posets
@@ -285,14 +285,34 @@ def test_dot_export_escapes_labels_and_refuses_bad_names():
             poset_to_dot(poset, name=bad)
 
 
-def test_less_matrix_matches_strict_upsets():
-    poset = cluster_poset(ClusterParams(4, 2, 3, 2))
-    rows = poset.less_matrix()
+@settings(max_examples=60, deadline=None)
+@given(poset=dags())
+def test_upper_covers_group_the_covers_by_their_lower_element(poset):
+    assert len(poset.upper_covers) == len(poset)
+    for x, above in enumerate(poset.upper_covers):
+        assert above == tuple(y for u, y in poset.covers if u == x)
+
+
+def _reachable(poset, x):
+    # depth-first search over the cover pairs, independent of strict_upsets
+    seen, stack = set(), [x]
+    while stack:
+        u = stack.pop()
+        for v in (y for w, y in poset.covers if w == u):
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return seen
+
+
+@settings(max_examples=60, deadline=None)
+@given(poset=dags())
+@example(poset=cluster_poset(ClusterParams(4, 2, 3, 2)))
+def test_less_matches_reachability_in_the_covers(poset):
     for x in range(len(poset)):
+        above = _reachable(poset, x)
         for y in range(len(poset)):
-            assert bool(rows[x][y]) == poset.less(x, y)
-            if x == y:
-                assert not poset.less(x, y)
+            assert poset.less(x, y) == (y in above)
 
 
 def test_less_and_index_refuse_outside_input():

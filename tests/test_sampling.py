@@ -87,6 +87,44 @@ def test_validated_chain_follows_the_same_trajectory(params, seed, calls):
         assert tuple(fast.position) == position
 
 
+@st.composite
+def dags_with_transitive_pairs(draw):
+    # a random DAG on at most 8 elements, its cover list padded with pairs
+    # that its order already implies
+    n = draw(st.integers(2, 8))
+    pairs = [(x, y) for x in range(n) for y in range(x + 1, n)]
+    name = draw(st.permutations(range(n)))
+    covers = [(name[x], name[y]) for x, y in draw(st.lists(st.sampled_from(pairs)))]
+    poset = FinitePoset([f"e{i}" for i in range(n)], covers)
+    implied = [(x, y) for x in range(n) for y in range(n) if poset.less(x, y)]
+    covers += draw(st.lists(st.sampled_from(implied))) if implied else []
+    return FinitePoset(poset.labels, covers)
+
+
+@settings(max_examples=60, deadline=None)
+@given(poset=dags_with_transitive_pairs(), seed=st.integers(0, 2 ** 32 - 1),
+       calls=st.lists(st.integers(0, 40_000), min_size=1, max_size=3))
+def test_chain_on_covers_follows_the_checked_chain(poset, seed, calls):
+    fast = ExtensionChain(poset, seed)
+    for steps, (order, _) in zip(calls, checked_chain(poset, seed, calls), strict=True):
+        fast.run(steps)
+        assert fast.state() == order
+
+
+def test_sampling_never_builds_the_order_relation(monkeypatch):
+    def refuse(poset):
+        raise AssertionError("the full order relation was built")
+
+    monkeypatch.setattr(FinitePoset, "strict_upsets", property(refuse))
+    chain = ExtensionChain(cluster_poset(ClusterParams(4, 2, 3, 3)), seed=4)
+    chain.run(10_000)
+    assert sorted(chain.state()) == list(range(10))
+    assert sum(sample_distribution(antichain(3), 10, thinning=9, burnin=0,
+                                   seed=1).values()) == 10
+    profile = height_profile(ClusterParams(8, 3, 5, 25), samples=20)
+    assert profile.mean_heights.shape == (26,)
+
+
 def test_over_budget_requests_are_refused_before_sampling(monkeypatch):
     def no_chain(*args, **kwargs):
         raise AssertionError("a chain was built for a refused request")
