@@ -33,7 +33,7 @@ each one poset of at most n_max elements: about 2^(n_max - m) for a
 pattern with shift 1, and a few for most patterns, whose shortest shift is
 near m.  On one core of a 2-vCPU Xeon VM (Python 3.11)
 ``classify --m 7 --n-max 10``, the largest request the caps allow, takes
-16 ms in-process, and each histogram at n = 10 at most 0.5 ms.
+18 ms in-process, and each histogram at n = 10 at most 0.5 ms.
 
 Equivalence results obtained here are evidence up to a stated text length,
 never proofs.

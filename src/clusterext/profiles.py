@@ -328,7 +328,7 @@ def profile_increment_bounds(m: int, a: int, b: int,
         if not (0.0 < y[0] and y[-1] < 1.0 and all(s < t for s, t in zip(y, y[1:]))):
             raise InvalidInputError(
                 "sequences must be strictly increasing inside (0, 1)")
-        values = [limit_profile(m, a, b, v) for v in y]
+        values = [_invert(alpha, beta, log_b, v) for v in y]
         log_slopes = [-_log_density(alpha, beta, log_b, f) for f in values]
         log_gaps = [math.log(v - u) for u, v in zip(y, y[1:])]
         mid = (sum(math.log(v - u) for u, v in zip(values, values[1:]))

@@ -39,7 +39,8 @@ if TYPE_CHECKING:  # numpy is imported by the functions that use it
 
 _CHUNK = 1 << 15
 
-#: Step budget of one sampling request: burn-in plus samples times thinning.
+#: Step budget of one sampling request: burn-in plus samples times thinning;
+#: about 50 s at 19-20 M steps/s (|P| = 121, one core of a 2-vCPU Xeon VM).
 MAX_CHAIN_STEPS = 10 ** 9
 
 #: Size cap of the poset built per sampling request; at the cap, building it

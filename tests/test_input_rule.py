@@ -206,6 +206,27 @@ def test_every_cap_has_a_row():
     assert sorted(scanned - {row[0] for row in BUDGETS}) == []
 
 
+def _cost_note(name):
+    """The ``#:`` comment lines right above a MAX_* constant, joined."""
+    module, constant = name.split(".")
+    lines = inspect.getsource(importlib.import_module(f"clusterext.{module}")).splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith(f"{constant} = "))
+    note = []
+    while at > 0 and lines[at - 1].startswith("#:"):
+        at -= 1
+        note.insert(0, lines[at][2:].strip())
+    return " ".join(note)
+
+
+MEASURED_TIME = re.compile(r"\d(?:[\d.,]*\d)?\s*(?:ms|s|min)\b")
+
+
+@pytest.mark.parametrize("cap", sorted(_caps()))
+def test_every_cap_states_its_cost(cap):
+    # each cap's note gives a measured time, such as "0.6 s" or "6.4 min"
+    assert MEASURED_TIME.search(_cost_note(cap)), (cap, _cost_note(cap))
+
+
 def test_require_at_most():
     require_at_most("k", 3, 3)
     require_at_most("k", -2, -1)

@@ -412,6 +412,15 @@ def test_longest_clusters_are_glued_chains(m):
             assert r[(m - 1) * k + 1, k] == want, (p, k)
 
 
+def test_cluster_walk_has_no_bruteforce_size_cap():
+    # the walk runs the ideal DP with no cap on the positions: nine windows
+    # of the non-overlapping 1342 span 28 positions, past
+    # MAX_BRUTEFORCE_ELEMENTS = 24, and the DP visits 29,525 of the 2^28 sets
+    r = patterns._clusters((1, 3, 4, 2), 28)
+    assert sorted(r) == [(3 * k + 1, k) for k in range(1, 10)]
+    assert r[28, 9] == exact_count(ClusterParams(4, 1, 2, 9)) == 2_977_546_171_600_000
+
+
 # (m, n) with m <= n: 12...m fills every window of 12...n, and so does its reverse
 TOP_SLOT_CASES = [(m, n) for m in range(2, 7) for n in range(m, 10)] + [(7, 10)]
 

@@ -197,11 +197,23 @@ def test_bruteforce_frees_its_memo_without_the_cycle_collector():
             gc.enable()
 
 
+def _reachable(poset, x):
+    # depth-first search over the cover pairs themselves, not upper_covers
+    seen, stack = set(), [x]
+    while stack:
+        u = stack.pop()
+        for v in (y for w, y in poset.covers if w == u):
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return seen
+
+
 @st.composite
-def dags(draw):
+def dags(draw, max_size=8):
     # relations x -> y between ranks x < y, then the elements relabelled, so
     # a relation may run from a larger index to a smaller one
-    n = draw(st.integers(0, 8))
+    n = draw(st.integers(0, max_size))
     pairs = [(x, y) for x in range(n) for y in range(x + 1, n)]
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     name = draw(st.permutations(range(n)))
@@ -210,12 +222,18 @@ def dags(draw):
 
 
 @settings(max_examples=80, deadline=None)
-@given(poset=dags())
-def test_bruteforce_counts_every_extension(poset):
+@given(poset=dags(), data=st.data())
+def test_bruteforce_counts_every_extension(poset, data):
     exts = enumerate_linear_extensions(poset)
     assert count_linear_extensions_bruteforce(poset) == len(exts)
     # Kahn's order, smallest index first, is the least extension
     assert poset.topological_order() == exts[0]
+    # cover lists padded with pairs the order already implies count the same
+    implied = [(x, y) for x in range(len(poset)) for y in _reachable(poset, x)]
+    if implied:
+        extra = data.draw(st.lists(st.sampled_from(implied), min_size=1))
+        padded = FinitePoset(poset.labels, poset.covers + tuple(extra))
+        assert count_linear_extensions_bruteforce(padded) == len(exts)
 
 
 def test_bruteforce_resource_limit():
@@ -293,18 +311,6 @@ def test_upper_covers_group_the_covers_by_their_lower_element(poset):
         assert above == tuple(y for u, y in poset.covers if u == x)
 
 
-def _reachable(poset, x):
-    # depth-first search over the cover pairs, independent of strict_upsets
-    seen, stack = set(), [x]
-    while stack:
-        u = stack.pop()
-        for v in (y for w, y in poset.covers if w == u):
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return seen
-
-
 @settings(max_examples=60, deadline=None)
 @given(poset=dags())
 @example(poset=cluster_poset(ClusterParams(4, 2, 3, 2)))
@@ -313,6 +319,26 @@ def test_less_matches_reachability_in_the_covers(poset):
         above = _reachable(poset, x)
         for y in range(len(poset)):
             assert poset.less(x, y) == (y in above)
+
+
+@settings(max_examples=60, deadline=None)
+@given(poset=dags(max_size=6))
+def test_less_is_precedence_in_every_extension(poset):
+    # x < y exactly when x comes before y in every linear extension
+    positions = [{x: i for i, x in enumerate(ext)}
+                 for ext in enumerate_linear_extensions(poset)]
+    for x in range(len(poset)):
+        for y in range(len(poset)):
+            assert poset.less(x, y) == (x != y and all(pos[x] < pos[y]
+                                                       for pos in positions))
+
+
+def test_finite_poset_has_no_instance_dict():
+    # the order is kept as the covers alone, with nothing cached beside them
+    poset = cluster_poset(ClusterParams(4, 2, 3, 2))
+    assert not hasattr(poset, "__dict__")
+    with pytest.raises(AttributeError):
+        poset.strict_upsets = ()
 
 
 def test_less_and_index_refuse_outside_input():

@@ -333,16 +333,32 @@ def test_increment_bounds_examples():
 
 def test_increment_bounds_invert_each_point_once(monkeypatch):
     calls = []
+    invert = profiles._invert
 
-    def counting(m, a, b, t):
+    def counting(alpha, beta, log_b, t):
         calls.append(t)
-        return limit_profile(m, a, b, t)
+        return invert(alpha, beta, log_b, t)
 
-    monkeypatch.setattr(profiles, "limit_profile", counting)
+    monkeypatch.setattr(profiles, "_invert", counting)
     seqs = [[0.1, 0.4, 0.9], [(i + 1) / 12 for i in range(11)], [0.3, 0.31]]
     assert profile_increment_bounds(8, 3, 5, seqs)
     assert profile_increment_bounds(4, 1, 4, seqs)  # flat corner: no argmin inversion
     assert calls == [t for seq in seqs for t in seq] * 2
+
+
+def test_increment_bounds_compute_log_beta_once_per_call(monkeypatch):
+    calls = []
+
+    def counting(alpha, beta):
+        calls.append((alpha, beta))
+        return log_beta(alpha, beta)
+
+    monkeypatch.setattr(profiles, "log_beta", counting)
+    seqs = [[0.1, 0.4, 0.9], [0.2, 0.3, 0.5, 0.8]]
+    for m, a, b in [(8, 3, 5), (4, 1, 4)]:
+        calls.clear()
+        assert profile_increment_bounds(m, a, b, seqs)
+        assert len(calls) == 1  # one per point as well would make 8
 
 
 def test_increment_bounds_need_all_gaps_on_lower_side():

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from clusterext import sampling
 from clusterext.errors import InvalidInputError, ResourceLimitError
+from clusterext.exact_counts import exact_count
 from clusterext.posets import (ClusterParams, FinitePoset, cluster_poset,
                                count_linear_extensions_bruteforce)
 from clusterext.sampling import (ExtensionChain, concentration_report,
@@ -112,17 +115,28 @@ def test_chain_on_covers_follows_the_checked_chain(poset, seed, calls):
 
 
 def test_sampling_never_builds_the_order_relation(monkeypatch):
-    def refuse(poset):
-        raise AssertionError("the full order relation was built")
+    # sampling and counting read the covers; neither compares two elements
+    glued = cluster_poset(ClusterParams(4, 2, 3, 3))
+    rng = random.Random(8)
+    dag = FinitePoset([f"e{i}" for i in range(12)],
+                      [(x, y) for x in range(12) for y in range(x + 1, 12)
+                       if rng.random() < 0.2])
+    dag_count = len(enumerate_linear_extensions(dag))
 
-    monkeypatch.setattr(FinitePoset, "strict_upsets", property(refuse))
-    chain = ExtensionChain(cluster_poset(ClusterParams(4, 2, 3, 3)), seed=4)
+    def refuse(poset, x, y):
+        raise AssertionError("an order comparison was made")
+
+    monkeypatch.setattr(FinitePoset, "less", refuse)
+    chain = ExtensionChain(glued, seed=4)
     chain.run(10_000)
     assert sorted(chain.state()) == list(range(10))
     assert sum(sample_distribution(antichain(3), 10, thinning=9, burnin=0,
                                    seed=1).values()) == 10
     profile = height_profile(ClusterParams(8, 3, 5, 25), samples=20)
     assert profile.mean_heights.shape == (26,)
+    assert count_linear_extensions_bruteforce(glued) == exact_count(
+        ClusterParams(4, 2, 3, 3))
+    assert count_linear_extensions_bruteforce(dag) == dag_count
 
 
 def test_over_budget_requests_are_refused_before_sampling(monkeypatch):
