@@ -57,8 +57,7 @@ Pattern = Tuple[int, ...]
 MAX_TEXT_LENGTH = 10
 #: Largest pattern length for the m! non-overlap census: 6.4 min at the cap.
 MAX_CENSUS_LENGTH = 11
-#: Largest pattern length for whole-S_m classification, and for any
-#: histogram that reaches a text of length m.  On the VM above,
+#: Largest pattern length for whole-S_m classification.  On the VM above,
 #: ``evidence_classes(8, 10)`` would take 0.05 s and (8, 12) 0.06 s at
 #: 25 MiB peak RSS, one cluster walk per orbit, about m!/4 of them.
 MAX_CLASSIFY_LENGTH = 7
@@ -198,7 +197,7 @@ def _clusters(p: Pattern, longest: int) -> Dict[Tuple[int, int], int]:
     """
     m = len(p)
     shifts = [s for s in range(1, min(m, longest - m + 1)) if _alike(p[s:], p[:m - s])]
-    r = {(m, 1): 1}  # a single window is a chain
+    r = {(m, 1): 1} if m <= longest else {}  # a single window is a chain
     if not shifts:
         return r
     # per position of one window, the mask of the positions above it
@@ -241,9 +240,6 @@ def occurrence_histogram(pattern: Sequence[int], n: int) -> OccurrenceHistogram:
     p = as_pattern(pattern)
     require_int("text length", n, 1)
     require_at_most("text length", n, MAX_TEXT_LENGTH)
-    if n < len(p):  # no text is long enough to hold p
-        return OccurrenceHistogram(n, {0: math.factorial(n)})
-    require_at_most("classified pattern length", len(p), MAX_CLASSIFY_LENGTH)
     # c_L(u - 1) = sum_k r_(L,k) (u - 1)^k, as coefficients of u
     c: Dict[int, List[int]] = {}
     for (length, k), r in _clusters(p, n).items():
@@ -276,9 +272,6 @@ def cwilf_evidence(p: Sequence[int], q: Sequence[int], n_max: int,
         raise InvalidInputError("patterns must have the same length")
     require_int("text length", n_max, 1)
     require_at_most("text length", n_max, MAX_TEXT_LENGTH)
-    if n_max < len(pp):  # no text is long enough to hold either
-        return True
-    require_at_most("classified pattern length", len(pp), MAX_CLASSIFY_LENGTH)
     return _key(pp, n_max, strong) == _key(qq, n_max, strong)
 
 

@@ -24,6 +24,9 @@ from .errors import (DomainError, InternalConsistencyError, InvalidInputError,
 #: Cap for the order-ideal DP.  An antichain (2^|P| ideals) of 22 elements takes
 #: 15 s at 447 MiB peak RSS (2-vCPU Xeon VM); 24, not run, near 75 s and 1.7 GiB.
 MAX_BRUTEFORCE_ELEMENTS = 24
+#: Cap on the size of a built glued-chain poset: 10^6 elements take 5.7 s
+#: and 540 MiB peak RSS, about linear in the size (2-vCPU Xeon VM).
+MAX_GLUED_ELEMENTS = 10 ** 6
 
 
 class ClusterParams(namedtuple("ClusterParams", "m a b n")):
@@ -153,6 +156,8 @@ def _glued_chains(params: ClusterParams, padded: bool) -> FinitePoset:
     a-th of chain 1) and chain n+1 (positions 1..a, its a-th element the b-th
     of chain n).  Elements are numbered in the order the chains are listed.
     """
+    size = params.q_size if padded else params.p_size
+    require_at_most("glued-chain poset size", size, MAX_GLUED_ELEMENTS)
     m, a, b, n = params
     labels: List[str] = []
     covers: List[Tuple[int, int]] = []
@@ -177,7 +182,7 @@ def _glued_chains(params: ClusterParams, padded: bool) -> FinitePoset:
         chain(0, b, m, b, first[a - 1])
         chain(n + 1, 1, a, a, last[b - 1])
     poset = FinitePoset(labels, covers)
-    if len(poset) != (params.q_size if padded else params.p_size):
+    if len(poset) != size:
         raise InternalConsistencyError(f"glued-chain poset has {len(poset)} elements")
     return poset
 

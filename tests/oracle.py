@@ -208,7 +208,7 @@ def cluster_numbers_by_posets(p: Pattern, longest: int) -> Dict[Tuple[int, int],
     shifts = [s for s in range(1, min(m, longest - m + 1))
               if [i - s for i in order if i >= s] == [i for i in order if i < m - s]]
     links = list(zip(order, order[1:]))
-    r = {(m, 1): 1}  # a single window is a chain
+    r = {(m, 1): 1} if m <= longest else {}  # a single window is a chain
     stack = [(m, 1, links)]  # length, windows and covers of a shift sequence
     while stack:
         n, k, covers = stack.pop()

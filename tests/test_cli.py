@@ -339,6 +339,17 @@ def test_check_subcommand():
     assert "FAIL" not in out
 
 
+def test_check_reports_a_failure_and_exits_4(monkeypatch):
+    exact = cli.exact_counts.exact_count
+    monkeypatch.setattr(cli.exact_counts, "exact_count",
+                        lambda params, variant: exact(params, variant) + 1)
+    status, out = run_cli("check")
+    assert status == 4
+    failed = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert failed[0] == "FAIL  exact counts match brute force for (m,a,b,n)=(3,1,2,2)"
+    assert "all checks passed" not in out
+
+
 # requests on the exact, integer-only paths, then the two that need numpy
 INTEGER_REQUESTS = [
     ["count", "--m", "6", "--a", "2", "--b", "4", "--n", "12", "--format", "json"],

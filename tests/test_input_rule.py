@@ -5,6 +5,7 @@ message form, checked only after every argument, and before any work."""
 
 import importlib
 import inspect
+import pathlib
 import pkgutil
 import re
 import time
@@ -16,7 +17,7 @@ from clusterext import asymptotics, cli, patterns, profiles, sampling
 from clusterext.errors import (InvalidInputError, ResourceLimitError,
                                require_at_most, require_int)
 from clusterext.exact_counts import exact_count_sweep
-from clusterext.posets import ClusterParams, FinitePoset
+from clusterext.posets import ClusterParams, FinitePoset, cluster_poset
 
 SMALL = ClusterParams(3, 1, 2, 2)
 ANTICHAIN = FinitePoset(["x", "y", "z"], [])
@@ -149,6 +150,8 @@ BUDGETS = [
     ("posets.MAX_BRUTEFORCE_ELEMENTS", "brute-force poset size", 25,
      lambda a: _handler("count", "--m", "3", "--a", a, "--b", "2", "--n", "12",
                         "--method", "brute"), "1", "0"),
+    ("posets.MAX_GLUED_ELEMENTS", "glued-chain poset size", 10 ** 6 + 1,
+     lambda n: cluster_poset(ClusterParams(2, 1, 2, n)), 10 ** 6, 0),
     ("exact_counts.MAX_INTEGRAL_DEGREE", "iterated integral degree", 6001,
      lambda v: exact_count_sweep(18, 9, 10, 353, v), "p", "x"),
     ("patterns.MAX_TEXT_LENGTH", "text length", 11,
@@ -204,6 +207,26 @@ def test_every_cap_has_a_row():
     scanned = set(_caps())
     assert {"posets.MAX_BRUTEFORCE_ELEMENTS", "sampling.MAX_CHAIN_STEPS"} <= scanned
     assert sorted(scanned - {row[0] for row in BUDGETS}) == []
+
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+# | `module.MAX_NAME` | what it bounds | value | checked by |
+README_ROW = re.compile(r"^\| `(\w+\.MAX_\w+)` \|.*\| ([^|]*?) \|[^|]*\|$")
+
+
+def _readme_value(text):
+    """A Value cell such as ``24`` or ``10**5`` as an int."""
+    base, _, exponent = text.partition("**")
+    return int(base) ** int(exponent or 1)
+
+
+def test_every_cap_has_a_readme_row():
+    lines = README.read_text(encoding="utf-8").splitlines()
+    rows = [row.groups() for row in map(README_ROW.match, lines) if row]
+    names = [name for name, _ in rows]
+    assert sorted(names) == sorted(_caps())  # one row per cap, none stale
+    for name, value in rows:
+        assert _readme_value(value) == _cap(name), (name, value)
 
 
 def _cost_note(name):

@@ -314,30 +314,58 @@ def test_evidence_classes_resource_guard():
         patterns.evidence_classes(8, 5)
 
 
-def test_histogram_and_evidence_name_the_classify_cap():
+def _long_patterns(seed, count):
+    """``count`` random patterns of each length MAX_CLASSIFY_LENGTH + 1..12,
+    the lengths that only evidence_classes refuses."""
+    rng = random.Random(seed)
+    return [tuple(rng.sample(range(1, m + 1), m))
+            for m in range(patterns.MAX_CLASSIFY_LENGTH + 1, 13) for _ in range(count)]
+
+
+def test_long_pattern_histograms_count_every_text():
+    # each of the n - m + 1 windows of a text holds p in n!/m! texts
+    monotone = [tuple(range(1, m + 1)) for m in range(8, 13)]
+    for p in monotone + _long_patterns(36, 6):
+        m = len(p)
+        for n in range(1, patterns.MAX_TEXT_LENGTH + 1):
+            counts = patterns.occurrence_histogram(p, n).counts
+            assert sum(counts.values()) == math.factorial(n), (p, n)
+            occurrences = sum(k * v for k, v in counts.items())
+            assert occurrences == max(0, n - m + 1) * math.factorial(n) // math.factorial(m)
+
+
+def test_long_pattern_evidence_compares_the_histograms():
+    n_max = patterns.MAX_TEXT_LENGTH
+    rng = random.Random(8)
+    sample = [tuple(range(1, 9)), tuple(range(8, 0, -1)), (2, 1, 4, 3, 6, 5, 8, 7),
+              (1, 2, 3, 4, 5, 6, 8, 7)] + [tuple(rng.sample(range(1, 9), 8)) for _ in range(4)]
+    hists = {p: [patterns.occurrence_histogram(p, n).counts for n in range(1, n_max + 1)]
+             for p in sample}
+    verdicts = set()
+    for p in sample:
+        for q in sample:
+            strong = hists[p] == hists[q]
+            weak = [h.get(0) for h in hists[p]] == [h.get(0) for h in hists[q]]
+            assert patterns.cwilf_evidence(p, q, n_max) == strong, (p, q)
+            assert patterns.cwilf_evidence(p, q, n_max, strong=False) == weak, (p, q)
+            verdicts.add((strong, weak))
+    assert {(True, True), (False, False)} <= verdicts
+
+
+def test_texts_shorter_than_the_pattern_hold_no_occurrence():
     p, q = tuple(range(1, 9)), tuple(range(8, 0, -1))
-    message = "^classified pattern length 8 exceeds the cap of 7$"
-    with pytest.raises(ResourceLimitError, match=message):
-        patterns.occurrence_histogram(p, 8)
-    with pytest.raises(ResourceLimitError, match=message):
-        patterns.cwilf_evidence(p, q, 8)
-
-
-def _no_walk(*args):
-    raise AssertionError("the cluster walk started")
-
-
-def test_long_pattern_sweeps_are_refused_before_any_table(monkeypatch):
-    monkeypatch.setattr(patterns, "_clusters", _no_walk)
-    m = patterns.MAX_CLASSIFY_LENGTH + 1
-    p, q = tuple(range(1, m + 1)), tuple(range(m, 0, -1))
-    with pytest.raises(ResourceLimitError):
-        patterns.cwilf_evidence(p, q, m)
-    with pytest.raises(ResourceLimitError):
-        patterns.occurrence_histogram(p, patterns.MAX_TEXT_LENGTH)
-    # texts shorter than the pattern need no table and stay allowed
-    assert patterns.cwilf_evidence(p, q, m - 1)
+    assert patterns.cwilf_evidence(p, q, 7)
+    assert patterns.cwilf_evidence(p, q, 7, strong=False)
     assert patterns.occurrence_histogram(tuple(range(1, 13)), 5).counts == {0: 120}
+    assert patterns.occurrence_histogram(tuple(range(1, 13)), 10).counts == {
+        0: math.factorial(10)}
+
+
+def test_no_cluster_is_shorter_than_the_pattern():
+    for p in [tuple(range(1, m + 1)) for m in range(1, 13)] + _long_patterns(5, 2):
+        for longest in range(1, len(p)):
+            assert patterns._clusters(p, longest) == {}, (p, longest)
+        assert patterns._clusters(p, len(p)) == {(len(p), 1): 1}
 
 
 # (m, largest n) pairs checked against the per-length brute-force oracle
@@ -361,10 +389,23 @@ def test_cluster_numbers_match_the_texts(m):
             assert {k: v for (n, k), v in r.items() if n == L} == want, (p, L)
 
 
-@pytest.mark.parametrize("m", range(1, patterns.MAX_CLASSIFY_LENGTH + 1))
+def _walk_sample(m):
+    """All of S_m up to the classify cap; past it the monotone patterns
+    (shift 1) and 2 1 4 3 ... (shift 2), whose clusters outgrow m by n = 10,
+    and ten random patterns."""
+    if m <= patterns.MAX_CLASSIFY_LENGTH:
+        return list(permutations(range(1, m + 1)))
+    rng = random.Random(m)
+    pairs = patterns.standardize([v + (-1) ** v for v in range(2, m + 2)])
+    return ([tuple(range(1, m + 1)), tuple(range(m, 0, -1)), pairs, patterns.complement(pairs)]
+            + [tuple(rng.sample(range(1, m + 1), m)) for _ in range(10)])
+
+
+@pytest.mark.parametrize("m", range(1, patterns.MAX_TEXT_LENGTH + 1))
 def test_cluster_walk_matches_the_poset_walk(m):
-    # every (p, longest) the caps admit
-    for p in permutations(range(1, m + 1)):
+    # every (p, longest) the caps admit for whole-S_m classification, and a
+    # sample of the longer patterns a histogram takes
+    for p in _walk_sample(m):
         for longest in range(1, patterns.MAX_TEXT_LENGTH + 1):
             want = cluster_numbers_by_posets(p, longest)
             assert patterns._clusters(p, longest) == want, (p, longest)

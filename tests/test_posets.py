@@ -251,6 +251,19 @@ def test_cycle_detection():
             FinitePoset(["x", "y"], [cover])
 
 
+def test_labels_must_be_distinct():
+    with pytest.raises(InvalidInputError, match="^element labels must be distinct$"):
+        FinitePoset(["x", "y", "x"], [(0, 1)])
+
+
+def test_glued_chain_cap_counts_the_padding():
+    # p has (m-1)n + 1 elements, at the cap here; the padded q has m - b + a - 1 more
+    params = ClusterParams(4, 1, 2, (posets.MAX_GLUED_ELEMENTS - 1) // 3)
+    assert params.p_size == posets.MAX_GLUED_ELEMENTS < params.q_size
+    with pytest.raises(ResourceLimitError, match="^glued-chain poset size 1000002 "):
+        modified_cluster_poset(params)
+
+
 @pytest.mark.parametrize("cover", [(0.9, 1), (0, 1.0), (True, 0), (False, 1),
                                    ("0", 1)])
 def test_cover_indices_are_checked_ints(cover):

@@ -346,6 +346,16 @@ def test_increment_bounds_invert_each_point_once(monkeypatch):
     assert calls == [t for seq in seqs for t in seq] * 2
 
 
+def test_increment_bounds_can_fail(monkeypatch):
+    # profile values squeezed toward 1/2 make every increment too small
+    invert = profiles._invert
+    monkeypatch.setattr(profiles, "_invert", lambda alpha, beta, log_b, t:
+                        0.5 + (invert(alpha, beta, log_b, t) - 0.5) * 1e-3)
+    seqs = [[0.1, 0.4, 0.9]]
+    for m, a, b in [(8, 3, 5), (5, 2, 4), (4, 1, 4)]:
+        assert not profile_increment_bounds(m, a, b, seqs), (m, a, b)
+
+
 def test_increment_bounds_compute_log_beta_once_per_call(monkeypatch):
     calls = []
 

@@ -26,6 +26,17 @@ def antichain(k):
     return FinitePoset([f"e{i}" for i in range(k)], [])
 
 
+@pytest.mark.parametrize("size", [0, 1])
+def test_posets_below_two_elements_have_their_one_extension(size):
+    poset = antichain(size)
+    one = tuple(range(size))
+    assert sample_linear_extension(poset, 100, 3) == one
+    assert sample_distribution(poset, 5, 2, 10, 3) == {one: 5}
+    chain = ExtensionChain(poset, 3)
+    chain.run(100)
+    assert chain.state() == one
+
+
 def tv_from_uniform(poset, num_samples=10_000, seed=3):
     exts = enumerate_linear_extensions(poset)
     counts = sample_distribution(poset, num_samples,
