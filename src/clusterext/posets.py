@@ -1,10 +1,10 @@
 """Finite posets built from glued chains, and an exact brute-force extension counter.
 
-The family studied here glues n chains of length m so that the b-th element
-of each chain is the a-th element of the next.  A modified variant pads the
-first and last chain with short boundary chains so that every glue element
-carries the same weight profile.  Both are ordinary finite posets, kept as
-their covers; no |P|^2 order table is built.  The brute-force counter below
+The family studied here glues n chains of length m so that the b-th element of
+each chain is the a-th element of the next.  A modified variant pads the first
+and last chain with short boundary chains so that every glue element carries
+the same weight profile.  Both are ordinary finite posets, each kept as its
+upper covers; no |P|^2 order table is built.  The brute-force counter below
 works for any poset of at most 24 elements and is the independent oracle for
 the integral-based counts in :mod:`clusterext.exact_counts`.  Its order-ideal
 DP, ``_count_ideals``, reads one bitmask of covers per element, so it also
@@ -24,8 +24,8 @@ from .errors import (DomainError, InternalConsistencyError, InvalidInputError,
 #: Cap for the order-ideal DP.  An antichain (2^|P| ideals) of 22 elements takes
 #: 15 s at 447 MiB peak RSS (2-vCPU Xeon VM); 24, not run, near 75 s and 1.7 GiB.
 MAX_BRUTEFORCE_ELEMENTS = 24
-#: Cap on the size of a built glued-chain poset: 10^6 elements take 5.7 s
-#: and 540 MiB peak RSS, about linear in the size (2-vCPU Xeon VM).
+#: Cap on the size of a built glued-chain poset: 10^6 elements take 4.5-6.8 s
+#: and 513 MiB peak RSS, about linear in the size (2-vCPU Xeon VM).
 MAX_GLUED_ELEMENTS = 10 ** 6
 
 
@@ -77,16 +77,17 @@ class FinitePoset:
 
     Covers are pairs of int element indices (x, y) meaning x is covered by y;
     ``upper_covers[x]`` lists the y of every such pair, in increasing order.
-    Construction validates acyclicity.  The order is kept as its covers
-    alone: ``less`` searches them, and the extension counter reads them.
+    Construction validates acyclicity.  The order is stored once, as
+    ``upper_covers``: ``covers``, ``less`` and the extension counter read it.
     """
 
-    __slots__ = ("labels", "covers", "upper_covers", "_index", "_order")
+    __slots__ = ("labels", "upper_covers", "_index", "_order")
 
     def __init__(self, labels: Sequence[str], covers: Iterable[Tuple[int, int]]):
         self.labels: Tuple[str, ...] = tuple(labels)
         n = len(self.labels)
-        if len(set(self.labels)) != n:
+        self._index: Dict[str, int] = {lab: i for i, lab in enumerate(self.labels)}
+        if len(self._index) != n:
             raise InvalidInputError("element labels must be distinct")
         cov = set()
         for x, y in covers:
@@ -97,14 +98,12 @@ class FinitePoset:
             if x == y:
                 raise InvalidInputError(f"self-loop at element {x}")
             cov.add((x, y))
-        self.covers: Tuple[Tuple[int, int], ...] = tuple(sorted(cov))
         above: List[List[int]] = [[] for _ in range(n)]
         indeg = [0] * n
-        for x, y in self.covers:
+        for x, y in sorted(cov):
             above[x].append(y)
             indeg[y] += 1
         self.upper_covers: Tuple[Tuple[int, ...], ...] = tuple(map(tuple, above))
-        self._index: Dict[str, int] = {lab: i for i, lab in enumerate(self.labels)}
         # Kahn's algorithm, smallest index first; it also rejects cycles
         import heapq
 
@@ -121,6 +120,11 @@ class FinitePoset:
         if len(order) != n:
             raise InvalidInputError("cover relations contain a cycle")
         self._order: Tuple[int, ...] = tuple(order)
+
+    @property
+    def covers(self) -> Tuple[Tuple[int, int], ...]:
+        """The sorted cover pairs (x, y), read off ``upper_covers``."""
+        return tuple((x, y) for x, above in enumerate(self.upper_covers) for y in above)
 
     def __len__(self) -> int:
         return len(self.labels)

@@ -289,6 +289,7 @@ def checked_chain(poset: FinitePoset, seed: int, calls: Iterable[int]
     for i, x in enumerate(order):
         position[x] = i
     span = 2 * (len(order) - 1)
+    covers = poset.covers  # a property that builds its tuple on every read
     for steps in calls:
         remaining = steps if len(order) >= 2 else 0
         while remaining > 0:
@@ -300,6 +301,6 @@ def checked_chain(poset: FinitePoset, seed: int, calls: Iterable[int]
                     order[j], order[j + 1] = order[j + 1], order[j]
                     position[order[j]] = j
                     position[order[j + 1]] = j + 1
-                assert all(position[x] < position[y] for x, y in poset.covers), \
+                assert all(position[x] < position[y] for x, y in covers), \
                     "chain state is not a linear extension"
         yield tuple(order), tuple(position)

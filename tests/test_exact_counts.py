@@ -174,6 +174,19 @@ def test_exact_count_matches_glue_rank_oracle():
                             == glue_rank_counts(*case), case
 
 
+def test_two_chain_counts_have_a_closed_form():
+    # P(m, a, b, 2) is two m-chains sharing one element, with a - 1 + b - 1
+    # elements below it and 2m - a - b above: choose each side's interleaving
+    shapes = 0
+    for m in range(2, 31):
+        for a in range(1, m):
+            for b in range(a + 1, m + 1):
+                closed = math.comb(a + b - 2, a - 1) * math.comb(2 * m - a - b, m - a)
+                assert exact_count(ClusterParams(m, a, b, 2)) == closed, (m, a, b)
+                shapes += 1
+    assert shapes == 4495
+
+
 LARGE_SHAPES = [(8, 3, 5, 30), (12, 4, 9, 40), (20, 8, 12, 20)]
 
 

@@ -4,6 +4,7 @@ import gc
 import hashlib
 import math
 import pickle
+import re
 from pathlib import Path
 
 import pytest
@@ -136,11 +137,47 @@ def test_poset_size_mismatch_is_internal(monkeypatch):
         modified_cluster_poset(ClusterParams(8, 3, 5, 2))
 
 
-def test_posets_imports_only_errors():
-    tree = ast.parse(Path(posets.__file__).read_text(encoding="utf-8"))
-    relative = {node.module for node in ast.walk(tree)
-                if isinstance(node, ast.ImportFrom) and node.level > 0}
-    assert relative == {"errors"}
+#: Each module's relative imports, ``from . import x`` counted as x.  A new
+#: cross-layer import changes this table and the ``__init__`` layer list.
+LAYERS = {"errors", "posets", "exact_counts", "patterns", "asymptotics",
+          "profiles", "sampling"}
+IMPORTS = {
+    "errors": set(),
+    "posets": {"errors"},
+    "exact_counts": {"errors", "posets"},
+    "patterns": {"errors", "posets"},
+    "asymptotics": {"errors", "exact_counts", "posets"},
+    "profiles": {"asymptotics", "errors", "posets"},
+    "sampling": {"errors", "posets", "profiles"},
+    "__main__": {"cli"},
+    "cli": LAYERS,
+    "__init__": LAYERS,
+}
+
+
+def _relative_imports(module):
+    tree = ast.parse((Path(posets.__file__).parent / f"{module}.py")
+                     .read_text(encoding="utf-8"))
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            found.update([node.module] if node.module
+                         else [alias.name for alias in node.names])
+    return found
+
+
+@pytest.mark.parametrize("module", sorted(IMPORTS))
+def test_module_imports_only_its_layers(module):
+    assert _relative_imports(module) == IMPORTS[module]
+
+
+def test_layer_table_covers_every_module_and_the_package_docstring():
+    import clusterext
+    modules = {f.stem for f in Path(posets.__file__).parent.glob("*.py")}
+    assert modules == set(IMPORTS)
+    listed = set(re.findall(r"^\* :mod:`clusterext\.(\w+)`", clusterext.__doc__,
+                            re.MULTILINE))
+    assert listed == LAYERS - {"errors"}
 
 
 def test_modified_poset_examples():
@@ -199,10 +236,10 @@ def test_bruteforce_frees_its_memo_without_the_cycle_collector():
 
 def _reachable(poset, x):
     # depth-first search over the cover pairs themselves, not upper_covers
-    seen, stack = set(), [x]
+    covers, seen, stack = poset.covers, set(), [x]
     while stack:
         u = stack.pop()
-        for v in (y for w, y in poset.covers if w == u):
+        for v in (y for w, y in covers if w == u):
             if v not in seen:
                 seen.add(v)
                 stack.append(v)
@@ -317,11 +354,27 @@ def test_dot_export_escapes_labels_and_refuses_bad_names():
 
 
 @settings(max_examples=60, deadline=None)
-@given(poset=dags())
-def test_upper_covers_group_the_covers_by_their_lower_element(poset):
-    assert len(poset.upper_covers) == len(poset)
-    for x, above in enumerate(poset.upper_covers):
-        assert above == tuple(y for u, y in poset.covers if u == x)
+@given(poset=dags(), data=st.data())
+def test_upper_covers_group_the_covers_by_their_lower_element(poset, data):
+    # input padded with repeated and implied pairs, in any order: both forms
+    # hold its sorted, de-duplicated pairs
+    implied = [(x, y) for x in range(len(poset)) for y in _reachable(poset, x)]
+    extra = data.draw(st.lists(st.sampled_from(implied))) if implied else []
+    pairs = data.draw(st.permutations(list(poset.covers) + extra))
+    expected = tuple(sorted(set(pairs)))
+    built = FinitePoset(poset.labels, pairs)
+    assert built.covers == expected
+    assert len(built.upper_covers) == len(poset)
+    for x, above in enumerate(built.upper_covers):
+        assert above == tuple(y for u, y in expected if u == x)
+
+
+def test_covers_are_read_off_upper_covers():
+    # the order is stored once; covers is a read-only view of upper_covers
+    assert "covers" not in FinitePoset.__slots__
+    poset = cluster_poset(ClusterParams(4, 2, 3, 2))
+    with pytest.raises(AttributeError):
+        poset.covers = ()
 
 
 @settings(max_examples=60, deadline=None)

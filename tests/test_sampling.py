@@ -242,10 +242,11 @@ def small_posets(draw):
 def test_enumerator_oracle_properties(poset, k):
     exts = enumerate_linear_extensions(poset)
     assert all(u < v for u, v in zip(exts, exts[1:]))  # strictly lexicographic
+    covers = poset.covers
     for ext in exts:
         assert sorted(ext) == list(range(len(poset)))
         position = {x: i for i, x in enumerate(ext)}
-        assert all(position[x] < position[y] for x, y in poset.covers)
+        assert all(position[x] < position[y] for x, y in covers)
     assert len(exts) == count_linear_extensions_bruteforce(poset)
     assert enumerate_linear_extensions(poset, limit=k) == exts[:k]
 
